@@ -1,5 +1,6 @@
 #include "build/checkpoint.hpp"
 
+#include <algorithm>
 #include <ctime>
 #include <filesystem>
 #include <stdexcept>
@@ -68,7 +69,10 @@ void Checkpointer::OnRootFinished(graph::VertexId frontier,
                                   const pll::PruneStats& stats,
                                   double wall_seconds) {
   util::MutexLock lock(mutex_);
-  frontier_ = frontier;
+  // Workers compute their frontier under the scheduler's lock but report
+  // it after releasing that lock, so an older, smaller frontier can
+  // arrive after a newer one. Frontiers only grow; never move back.
+  frontier_ = std::max(frontier_, frontier);
   totals_ += stats;
   wall_seconds_ = wall_seconds;
   ++finished_since_snapshot_;

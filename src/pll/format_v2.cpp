@@ -219,8 +219,8 @@ Index ReadIndexV2(std::istream& in) {
   region(h.order_pos, reinterpret_cast<char*>(order.data()),
          n * sizeof(graph::VertexId));
 
-  std::vector<std::uint64_t> raw_offsets(n + 1);
-  region(h.offsets_pos, reinterpret_cast<char*>(raw_offsets.data()),
+  std::vector<std::uint64_t> offsets(n + 1);
+  region(h.offsets_pos, reinterpret_cast<char*>(offsets.data()),
          (n + 1) * sizeof(std::uint64_t));
 
   const std::size_t entry_count =
@@ -231,7 +231,6 @@ Index ReadIndexV2(std::istream& in) {
 
   // FromFlat applies the full heap-path rigor: monotonic offsets, a
   // sentinel closing every row, strictly sorted hubs.
-  std::vector<std::size_t> offsets(raw_offsets.begin(), raw_offsets.end());
   LabelStore store = LabelStore::FromFlat(std::move(offsets),
                                           std::move(entries));
   ValidateOrderPermutation(order);

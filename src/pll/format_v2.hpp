@@ -6,7 +6,8 @@
 // flattened region of sentinel-terminated rows plus an offset table in
 // physical (sentinel-inclusive) entry units. `mmap` + pointer arithmetic
 // over that region is a valid QuerySentinel input with zero per-entry
-// work — see mmap_store.hpp / paged_store.hpp.
+// work — the LabelSource view of label_source.hpp, over a MappedFile
+// (mapped_file.hpp).
 //
 // On-disk layout (all integers little-endian host PODs, same convention
 // as the v1 writer; positions are absolute byte offsets from file start):
@@ -31,7 +32,7 @@
 // Validation contract: ReadIndexV2 (the heap loader) applies the full
 // v1-deserializer rigor — strictly sorted hubs, sentinel at every row
 // end, order permutation, bounded incremental reads. ValidateV2Mapping
-// (the zero-copy loaders) validates everything that memory safety and
+// (the mmap loader) validates everything that memory safety and
 // merge termination depend on in O(n): geometry, alignment, region
 // bounds against the *actual* file size, one sentinel per row end, and
 // the order permutation — but deliberately not per-entry hub sortedness,
@@ -87,9 +88,9 @@ void WriteIndexV2File(const Index& index, const std::string& path);
 // see v2 files route here via Index::Load's magic dispatch.
 Index ReadIndexV2(std::istream& in);
 
-// Validated zero-copy view over a complete v2 file image, shared by the
-// mmap and paged backends. `data` must stay alive (and mapped) for as
-// long as the view's pointers are used. Throws std::runtime_error on any
+// Validated zero-copy view over a complete v2 file image (the mmap
+// loader's). `data` must stay alive (and mapped) for as long as the
+// view's pointers are used. Throws std::runtime_error on any
 // geometry / alignment / bounds / sentinel / permutation violation.
 struct V2View {
   V2Header header;

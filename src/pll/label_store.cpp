@@ -110,22 +110,22 @@ double LabelStore::AvgLabelSize() const {
   return static_cast<double>(TotalEntries()) / static_cast<double>(n);
 }
 
-LabelStore LabelStore::FromFlat(std::vector<std::size_t> offsets,
+LabelStore LabelStore::FromFlat(std::vector<std::uint64_t> offsets,
                                 std::vector<LabelEntry> entries) {
   if (offsets.empty() || offsets.front() != 0 ||
       offsets.back() != entries.size()) {
     throw std::runtime_error("flat label offsets do not cover the entries");
   }
   for (std::size_t v = 0; v + 1 < offsets.size(); ++v) {
-    const std::size_t begin = offsets[v];
-    const std::size_t end = offsets[v + 1];
+    const std::uint64_t begin = offsets[v];
+    const std::uint64_t end = offsets[v + 1];
     if (end <= begin || end > entries.size()) {
       throw std::runtime_error("flat label offsets are not monotonic");
     }
     if (entries[end - 1].hub != graph::kInvalidVertex) {
       throw std::runtime_error("flat label row is missing its sentinel");
     }
-    for (std::size_t i = begin; i + 1 < end; ++i) {
+    for (std::uint64_t i = begin; i + 1 < end; ++i) {
       if (entries[i].hub == graph::kInvalidVertex ||
           (i > begin && entries[i].hub <= entries[i - 1].hub)) {
         throw std::runtime_error("label row hubs are not strictly sorted");
@@ -144,8 +144,6 @@ const char* ToString(StoreBackend backend) {
       return "heap";
     case StoreBackend::kMmap:
       return "mmap";
-    case StoreBackend::kPaged:
-      return "paged";
   }
   return "unknown";
 }
@@ -153,9 +151,8 @@ const char* ToString(StoreBackend backend) {
 StoreBackend StoreBackendFromString(const std::string& name) {
   if (name == "heap") return StoreBackend::kHeap;
   if (name == "mmap") return StoreBackend::kMmap;
-  if (name == "paged") return StoreBackend::kPaged;
   throw std::runtime_error("unknown store backend: " + name +
-                           " (expected heap|mmap|paged)");
+                           " (expected heap|mmap)");
 }
 
 namespace {

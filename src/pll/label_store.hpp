@@ -2,17 +2,10 @@
 //
 // Two representations:
 //  * MutableLabels — append-friendly rows used while indexing (serial);
-//  * LabelStore    — immutable, flat, rank-sorted rows used for queries.
+//  * LabelStore    — immutable, flat, rank-sorted rows used for queries,
+//                    in the sentinel-terminated query layout described in
+//                    label_source.hpp, read through its LabelSource view.
 // Both live in *rank space* (see pll/ordering.hpp).
-//
-// Query layout. LabelStore keeps every row contiguous in one flat array
-// of 16-byte LabelEntry records and terminates each row with a sentinel
-// entry whose hub is kInvalidVertex (and whose distance is infinite).
-// Real hubs are ranks in [0, n) and therefore always compare smaller than
-// the sentinel, so the hot sorted-merge loop (QuerySentinel) needs no
-// per-iteration bounds checks: the two cursors meet at the sentinels and
-// the common-hub test terminates the loop. Row() spans exclude the
-// sentinel; only the raw RowBegin() pointers see it.
 #pragma once
 
 #include <cstdint>
@@ -26,89 +19,12 @@
 
 namespace parapll::pll {
 
-struct alignas(16) LabelEntry {
-  graph::VertexId hub = 0;       // rank of the landmark vertex
-  graph::Distance dist = 0;      // exact-or-upper-bound σ from hub
-
-  friend bool operator==(const LabelEntry&, const LabelEntry&) = default;
-};
-static_assert(sizeof(LabelEntry) == 16,
-              "query layout assumes 16-byte label entries");
-
-// Hint the first cache line of a label row into cache ahead of the merge.
-inline void PrefetchRow(const LabelEntry* row) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(row, /*rw=*/0, /*locality=*/3);
-#else
-  (void)row;
-#endif
-}
-
 // QUERY(s, t, L) over two rank-sorted rows: min over common hubs of
 // dist(hub, s) + dist(hub, t); infinity when no hub is shared. The
 // general bounds-checked form; works on any sorted rows (MutableLabels,
 // DynamicIndex). Distance sums saturate at kInfiniteDistance.
 graph::Distance QueryRows(std::span<const LabelEntry> a,
                           std::span<const LabelEntry> b);
-
-// Sentinel-terminated fast path: both pointers must address rows whose
-// final entry has hub == kInvalidVertex (LabelStore guarantees this).
-// One branch on hub order per iteration, no length tracking.
-inline graph::Distance QuerySentinel(const LabelEntry* a,
-                                     const LabelEntry* b) {
-  graph::Distance best = graph::kInfiniteDistance;
-  for (;;) {
-    const graph::VertexId ha = a->hub;
-    const graph::VertexId hb = b->hub;
-    if (ha == hb) {
-      if (ha == graph::kInvalidVertex) {
-        return best;  // both cursors reached their sentinel
-      }
-      const graph::Distance sum = graph::SaturatingAdd(a->dist, b->dist);
-      if (sum < best) {
-        best = sum;
-      }
-      ++a;
-      ++b;
-    } else if (ha < hb) {
-      ++a;  // ha is a real hub (the sentinel is the maximum VertexId)
-    } else {
-      ++b;
-    }
-  }
-}
-
-// QuerySentinel with bookkeeping for the slow-query log: counts the label
-// entries the merge consumed (cursor advances over real hubs) into
-// `scanned`. Kept separate so the uninstrumented hot path stays
-// branch-minimal.
-inline graph::Distance QuerySentinelCounted(const LabelEntry* a,
-                                            const LabelEntry* b,
-                                            std::uint64_t& scanned) {
-  graph::Distance best = graph::kInfiniteDistance;
-  for (;;) {
-    const graph::VertexId ha = a->hub;
-    const graph::VertexId hb = b->hub;
-    if (ha == hb) {
-      if (ha == graph::kInvalidVertex) {
-        return best;
-      }
-      const graph::Distance sum = graph::SaturatingAdd(a->dist, b->dist);
-      if (sum < best) {
-        best = sum;
-      }
-      ++a;
-      ++b;
-      scanned += 2;
-    } else if (ha < hb) {
-      ++a;
-      ++scanned;
-    } else {
-      ++b;
-      ++scanned;
-    }
-  }
-}
 
 // Growable per-vertex rows for serial indexing.
 class MutableLabels {
@@ -155,10 +71,9 @@ class MutableLabels {
   std::vector<std::vector<LabelEntry>> rows_;
 };
 
-// Immutable query-stage store (sentinel-terminated rows, see file header).
-// The heap backend of LabelSource; `final` so direct calls through a
-// concrete LabelStore devirtualize.
-class LabelStore final : public LabelSource {
+// Immutable query-stage store: the heap owner of the query layout
+// (label_source.hpp). Row reads go through its LabelSource view.
+class LabelStore {
  public:
   LabelStore() = default;
 
@@ -172,43 +87,38 @@ class LabelStore final : public LabelSource {
   // with rows *including* their sentinels (the format-v2 convention).
   // Validates shape, sentinel placement, and strict hub sortedness;
   // throws std::runtime_error on violation.
-  static LabelStore FromFlat(std::vector<std::size_t> offsets,
+  static LabelStore FromFlat(std::vector<std::uint64_t> offsets,
                              std::vector<LabelEntry> entries);
 
-  [[nodiscard]] graph::VertexId NumVertices() const override {
+  // The rows as a LabelSource, valid while this store lives.
+  [[nodiscard]] LabelSource View() const {
+    return {offsets_.data(), entries_.data(), NumVertices(), MemoryBytes()};
+  }
+
+  [[nodiscard]] graph::VertexId NumVertices() const {
     return static_cast<graph::VertexId>(
         offsets_.empty() ? 0 : offsets_.size() - 1);
   }
 
   // L(v) without the trailing sentinel.
-  [[nodiscard]] std::span<const LabelEntry> Row(
-      graph::VertexId v) const override {
-    return {entries_.data() + offsets_[v],
-            entries_.data() + (offsets_[v + 1] - 1)};
+  [[nodiscard]] std::span<const LabelEntry> Row(graph::VertexId v) const {
+    return View().Row(v);
   }
 
   // Raw pointer to the sentinel-terminated row of v — QuerySentinel input.
-  [[nodiscard]] const LabelEntry* RowBegin(graph::VertexId v) const override {
-    return entries_.data() + offsets_[v];
+  [[nodiscard]] const LabelEntry* RowBegin(graph::VertexId v) const {
+    return View().RowBegin(v);
   }
 
-  // QUERY(s, t) in rank space (sentinel merge, rows prefetched on entry).
+  // QUERY(s, t) in rank space (see LabelSource::Query).
   [[nodiscard]] graph::Distance Query(graph::VertexId s,
                                       graph::VertexId t) const {
-    const LabelEntry* a = RowBegin(s);
-    const LabelEntry* b = RowBegin(t);
-    PrefetchRow(a);
-    PrefetchRow(b);
-    return QuerySentinel(a, b);
+    return View().Query(s, t);
   }
 
   // Label entries excluding the per-row sentinels.
-  [[nodiscard]] std::size_t TotalEntries() const override {
+  [[nodiscard]] std::size_t TotalEntries() const {
     return entries_.size() - NumVertices();
-  }
-
-  [[nodiscard]] StoreBackend Backend() const override {
-    return StoreBackend::kHeap;
   }
 
   // Per-vertex rows without sentinels (hub-sorted) — the inverse of
@@ -220,8 +130,8 @@ class LabelStore final : public LabelSource {
 
   // Resident size of the store in bytes (sentinels included): the
   // *capacity* of both vectors, matching how ConcurrentLabelStore counts.
-  [[nodiscard]] std::size_t MemoryBytes() const override {
-    return offsets_.capacity() * sizeof(std::size_t) +
+  [[nodiscard]] std::size_t MemoryBytes() const {
+    return offsets_.capacity() * sizeof(std::uint64_t) +
            entries_.capacity() * sizeof(LabelEntry);
   }
 
@@ -231,15 +141,12 @@ class LabelStore final : public LabelSource {
   void Serialize(std::ostream& out) const;
   static LabelStore Deserialize(std::istream& in);
 
-  // Hand-written (a defaulted comparison would require operator== on the
-  // abstract base): equal iff the flattened layouts are identical.
-  friend bool operator==(const LabelStore& a, const LabelStore& b) {
-    return a.offsets_ == b.offsets_ && a.entries_ == b.entries_;
-  }
+  // Equal iff the flattened layouts are identical.
+  friend bool operator==(const LabelStore&, const LabelStore&) = default;
 
  private:
-  std::vector<std::size_t> offsets_;  // n + 1, rows include their sentinel
-  std::vector<LabelEntry> entries_;   // n sentinels interleaved
+  std::vector<std::uint64_t> offsets_;  // n + 1, rows include their sentinel
+  std::vector<LabelEntry> entries_;     // n sentinels interleaved
 };
 
 }  // namespace parapll::pll

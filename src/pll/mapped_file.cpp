@@ -1,6 +1,5 @@
-#include "pll/mmap_store.hpp"
+#include "pll/mapped_file.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -45,18 +44,6 @@ MappedFile::~MappedFile() {
   }
 }
 
-void MappedFile::Willneed(std::size_t pos, std::size_t len) const {
-  if (data_ == nullptr || pos >= size_) {
-    return;
-  }
-  // Round down to the page holding `pos` (madvise requires page-aligned
-  // addresses); over-advising up to a page is harmless.
-  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
-  const std::size_t begin = pos / page * page;
-  const std::size_t end = std::min(size_, pos + len);
-  ::madvise(const_cast<char*>(data_) + begin, end - begin, MADV_WILLNEED);
-}
-
 #else  // !PARAPLL_HAVE_MMAP
 
 MappedFile MappedFile::Open(const std::string& path) {
@@ -65,8 +52,6 @@ MappedFile MappedFile::Open(const std::string& path) {
 }
 
 MappedFile::~MappedFile() = default;
-
-void MappedFile::Willneed(std::size_t, std::size_t) const {}
 
 #endif  // PARAPLL_HAVE_MMAP
 
@@ -81,14 +66,6 @@ MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
     std::swap(size_, tmp.size_);
   }
   return *this;
-}
-
-std::shared_ptr<MmapLabelStore> MmapLabelStore::Open(const std::string& path) {
-  MappedFile file = MappedFile::Open(path);
-  // Validation reads pointers into the mapping; the view stays valid for
-  // the store's lifetime because the store owns the mapping.
-  V2View view = ValidateV2Mapping(file.data(), file.size());
-  return std::make_shared<MmapLabelStore>(std::move(file), view);
 }
 
 }  // namespace parapll::pll

@@ -6,16 +6,15 @@
 
 #include "obs/trace.hpp"
 #include "pll/format_v2.hpp"
-#include "pll/mmap_store.hpp"
-#include "pll/paged_store.hpp"
+#include "pll/mapped_file.hpp"
 #include "util/logging.hpp"
 
 namespace parapll::pll {
 
 namespace {
 
-// A zero-copy backend needs the v2 container; a v1 stream routes to the
-// heap loader instead (see the fallback rule in servable.hpp).
+// The mmap loader needs the v2 container; a v1 stream routes to the heap
+// loader instead (see the fallback rule in servable.hpp).
 bool IsV2File(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -24,17 +23,24 @@ bool IsV2File(const std::string& path) {
   return PeekV2Magic(in);
 }
 
+// The bytes a LabelSource views plus the view itself, in one shared
+// owner: ServableIndex::source aliases its control block.
+template <typename Bytes>
+struct ViewOwner {
+  Bytes bytes;
+  LabelSource view;
+};
+
 ServableIndex WrapHeap(Index index) {
-  auto owner = std::make_shared<Index>(std::move(index));
+  auto owner = std::make_shared<ViewOwner<Index>>();
+  owner->bytes = std::move(index);
+  owner->view = owner->bytes.Store().View();
   ServableIndex servable;
-  servable.manifest = owner->Manifest();
-  servable.order = owner->Order();
+  servable.manifest = owner->bytes.Manifest();
+  servable.order = owner->bytes.Order();
   servable.backend = StoreBackend::kHeap;
   servable.format_version = servable.manifest.format_version;
-  // Aliasing constructor: the source pointer is the index's store, the
-  // control block keeps the whole index alive.
-  servable.source =
-      std::shared_ptr<const LabelSource>(owner, &owner->Store());
+  servable.source = std::shared_ptr<const LabelSource>(owner, &owner->view);
   return servable;
 }
 
@@ -45,9 +51,8 @@ ServableIndex ServableIndex::FromIndex(Index index) {
 }
 
 ServableIndex ServableIndex::Load(const std::string& path,
-                                  StoreBackend backend,
-                                  std::size_t cache_bytes) {
-  if (backend != StoreBackend::kHeap && !IsV2File(path)) {
+                                  StoreBackend backend) {
+  if (backend == StoreBackend::kMmap && !IsV2File(path)) {
     LOG_WARN("index %s is not format v2; %s backend falling back to heap",
              path.c_str(), ToString(backend));
     backend = StoreBackend::kHeap;
@@ -66,23 +71,19 @@ ServableIndex ServableIndex::Load(const std::string& path,
   }
 
   const std::uint64_t start_ns = obs::TraceNowNs();
+  auto owner = std::make_shared<ViewOwner<MappedFile>>();
+  owner->bytes = MappedFile::Open(path);
+  // The view points into the mapping, which the owner keeps alive.
+  const V2View v2 =
+      ValidateV2Mapping(owner->bytes.data(), owner->bytes.size());
+  const auto n = static_cast<graph::VertexId>(v2.header.num_vertices);
+  // Mapped pages are file-backed and reclaimable: no heap bytes owned.
+  owner->view = LabelSource(v2.offsets, v2.entries, n, /*memory_bytes=*/0);
   ServableIndex servable;
-  if (backend == StoreBackend::kMmap) {
-    std::shared_ptr<MmapLabelStore> store = MmapLabelStore::Open(path);
-    servable.manifest = store->Manifest();
-    servable.order.assign(store->OrderSpan().begin(),
-                          store->OrderSpan().end());
-    servable.file_bytes = store->FileBytes();
-    servable.source = std::move(store);
-  } else {
-    std::shared_ptr<PagedLabelStore> store =
-        PagedLabelStore::Open(path, cache_bytes);
-    servable.manifest = store->Manifest();
-    servable.order.assign(store->OrderSpan().begin(),
-                          store->OrderSpan().end());
-    servable.file_bytes = store->FileBytes();
-    servable.source = std::move(store);
-  }
+  servable.manifest = v2.manifest;
+  servable.order.assign(v2.order, v2.order + n);
+  servable.file_bytes = owner->bytes.size();
+  servable.source = std::shared_ptr<const LabelSource>(owner, &owner->view);
   servable.backend = backend;
   servable.format_version = servable.manifest.format_version;
   servable.load_seconds =

@@ -1,19 +1,25 @@
-// ServableIndex — a loaded index behind the LabelSource abstraction.
+// ServableIndex — a loaded index behind its LabelSource view.
 //
 // The serving stack (query engine, daemon, CLI) doesn't care where label
-// rows live; it needs a source to merge, the vertex order to translate
+// rows live; it needs a view to merge, the vertex order to translate
 // ids, and the manifest for identity/provenance checks. ServableIndex
-// bundles exactly that, with one Load() funnel that picks the backend:
+// bundles exactly that, with one Load() funnel that picks the owner of
+// the rows:
 //
-//   kHeap  — Index::LoadFile (v1 or v2 stream, full deserialize);
-//   kMmap  — MmapLabelStore::Open (format v2 only, zero-copy);
-//   kPaged — PagedLabelStore::Open (format v2 only, bounded row cache).
+//   kHeap — Index::LoadFile (v1 or v2 stream, full deserialize), the
+//           view over its LabelStore;
+//   kMmap — a MappedFile of a format-v2 file that ValidateV2Mapping
+//           accepted (zero-copy), the view over the mapping.
 //
-// When a zero-copy backend is requested but the file is a v1 stream, the
-// load falls back to the heap path with a warning instead of failing:
-// a hot-reload watcher pointed at a republished v1 artifact keeps
-// serving. Every load records the cold-start cost (index.load_seconds +
-// one log line, see pll::RecordIndexLoad).
+// `source` aliases a shared owner holding the rows and the view, so the
+// view's rows stay valid, and a mapping stays mapped, while any copy of
+// `source` lives (a QueryEngine keeps one).
+//
+// When kMmap is requested but the file is a v1 stream, the load falls
+// back to the heap path with a warning instead of failing: a hot-reload
+// watcher pointed at a republished v1 artifact keeps serving. Every load
+// records the cold-start cost (index.load_seconds + one log line, see
+// pll::RecordIndexLoad).
 #pragma once
 
 #include <cstdint>
@@ -35,16 +41,15 @@ struct ServableIndex {
   std::size_t file_bytes = 0;     // 0 when wrapped from memory
   double load_seconds = 0.0;      // 0 when wrapped from memory
 
-  // Wraps an in-memory index (no file involved): the source aliases the
+  // Wraps an in-memory index (no file involved): the source views the
   // index's heap store, kept alive by a shared owner.
   [[nodiscard]] static ServableIndex FromIndex(Index index);
 
   // Loads `path` with the requested backend (see the file comment for
-  // the fallback rule). `cache_bytes` is only meaningful for kPaged.
-  // Throws std::runtime_error on I/O or validation failure.
+  // the fallback rule). Throws std::runtime_error on I/O or validation
+  // failure.
   [[nodiscard]] static ServableIndex Load(const std::string& path,
-                                          StoreBackend backend,
-                                          std::size_t cache_bytes = 0);
+                                          StoreBackend backend);
 
   [[nodiscard]] graph::VertexId NumVertices() const {
     return source == nullptr ? 0 : source->NumVertices();

@@ -15,11 +15,11 @@ namespace parapll::query {
 
 namespace {
 
-// Non-owning aliasing handle: the store is borrowed, lifetime managed by
-// the caller (the ctor contract says the index outlives the engine).
+// A view of a borrowed store: the rows' lifetime is the caller's (the
+// ctor contract says the index outlives the engine).
 std::shared_ptr<const pll::LabelSource> BorrowStore(
     const pll::LabelStore& store) {
-  return {std::shared_ptr<const pll::LabelSource>{}, &store};
+  return std::make_shared<const pll::LabelSource>(store.View());
 }
 
 }  // namespace
@@ -63,116 +63,56 @@ void QueryEngine::RegisterProbes() {
   probes_.push_back(std::make_unique<obs::ScopedProbe>(
       "store.memory_bytes",
       [source] { return static_cast<double>(source->MemoryBytes()); }));
-  if (!source->Cache().valid) {
-    return;
-  }
-  probes_.push_back(std::make_unique<obs::ScopedProbe>(
-      "store.cache.hits",
-      [source] { return static_cast<double>(source->Cache().hits); }));
-  probes_.push_back(std::make_unique<obs::ScopedProbe>(
-      "store.cache.misses",
-      [source] { return static_cast<double>(source->Cache().misses); }));
-  probes_.push_back(std::make_unique<obs::ScopedProbe>(
-      "store.cache.evictions",
-      [source] { return static_cast<double>(source->Cache().evictions); }));
-  probes_.push_back(std::make_unique<obs::ScopedProbe>(
-      "store.cache.resident_bytes", [source] {
-        return static_cast<double>(source->Cache().resident_bytes);
-      }));
-  probes_.push_back(std::make_unique<obs::ScopedProbe>(
-      "store.cache.hit_rate", [source] {
-        const auto stats = source->Cache();
-        const double lookups =
-            static_cast<double>(stats.hits) + static_cast<double>(stats.misses);
-        return lookups == 0.0 ? 0.0
-                              : static_cast<double>(stats.hits) / lookups;
-      }));
 }
 
-void QueryEngine::AnnounceShard(std::span<const QueryPair> pairs) const {
-  if (!source_->WantsReadahead() || pairs.empty()) {
-    return;
-  }
-  std::vector<graph::VertexId> ranks;
-  ranks.reserve(pairs.size() * 2);
-  for (const auto& [s, t] : pairs) {
-    if (s != t) {
-      ranks.push_back(RankOf(s));
-      ranks.push_back(RankOf(t));
-    }
-  }
-  source_->Readahead(ranks);
-}
-
+template <bool kLogged>
 void QueryEngine::RunShard(std::span<const QueryPair> pairs,
-                           std::span<graph::Distance> out) const {
-  AnnounceShard(pairs);
-  const pll::LabelSource& store = *source_;
+                           std::span<graph::Distance> out, std::size_t base,
+                           std::span<const BatchTraceSlice> traces) const {
+  if (pairs.empty()) {
+    return;
+  }
+  const pll::LabelSource rows = *source_;
   // Software pipeline: resolve + prefetch the *next* pair's label rows
   // while the current pair merges, hiding the first-cache-line miss of
-  // each row behind useful work. The two-pair working set (current +
-  // next) is why pll::kRowPinDepth >= 4 is part of the LabelSource
-  // pointer-lifetime contract.
+  // each row behind useful work.
   auto rows_of = [&](const QueryPair& pair) {
-    const auto a = store.RowBegin(RankOf(pair.first));
-    const auto b = store.RowBegin(RankOf(pair.second));
+    const pll::LabelEntry* a = rows.RowBegin(RankOf(pair.first));
+    const pll::LabelEntry* b = rows.RowBegin(RankOf(pair.second));
     pll::PrefetchRow(a);
     pll::PrefetchRow(b);
     return std::pair{a, b};
   };
-  if (pairs.empty()) {
-    return;
-  }
+  // Slices are sorted and disjoint, and this shard walks the batch in
+  // order, so one forward cursor resolves every pair's trace.
+  [[maybe_unused]] std::size_t cursor = 0;
   auto next = rows_of(pairs[0]);
   for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const auto current = next;
+    const auto [a, b] = next;
     if (i + 1 < pairs.size()) {
       next = rows_of(pairs[i + 1]);
     }
-    out[i] = pairs[i].first == pairs[i].second
-                 ? graph::Distance{0}
-                 : pll::QuerySentinel(current.first, current.second);
-  }
-}
-
-void QueryEngine::RunShardLogged(std::span<const QueryPair> pairs,
-                                 std::span<graph::Distance> out,
-                                 std::size_t base,
-                                 std::span<const BatchTraceSlice> traces)
-    const {
-  AnnounceShard(pairs);
-  const pll::LabelSource& store = *source_;
-  SlowQueryLog& log = *options_.slow_log;
-  // Slices are sorted and disjoint, and this shard walks the batch in
-  // order, so one forward cursor resolves every pair's trace.
-  std::size_t cursor = 0;
-  while (cursor < traces.size() && traces[cursor].end <= base) {
-    ++cursor;
-  }
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
     const auto [s, t] = pairs[i];
-    const std::size_t global = base + i;
-    while (cursor < traces.size() && traces[cursor].end <= global) {
-      ++cursor;
-    }
-    const std::string_view trace_id =
-        cursor < traces.size() && traces[cursor].begin <= global
-            ? traces[cursor].trace_id
-            : std::string_view{};
-    const std::uint64_t start_ns = obs::TraceNowNs();
-    std::uint64_t scanned = 0;
-    graph::Distance d;
-    if (s == t) {
-      d = graph::Distance{0};
+    if constexpr (!kLogged) {
+      out[i] = s == t ? graph::Distance{0} : pll::QuerySentinel(a, b);
     } else {
-      const auto a = store.RowBegin(RankOf(s));
-      const auto b = store.RowBegin(RankOf(t));
-      pll::PrefetchRow(a);
-      pll::PrefetchRow(b);
-      d = pll::QuerySentinelCounted(a, b, scanned);
+      const std::size_t global = base + i;
+      while (cursor < traces.size() && traces[cursor].end <= global) {
+        ++cursor;
+      }
+      const std::string_view trace_id =
+          cursor < traces.size() && traces[cursor].begin <= global
+              ? traces[cursor].trace_id
+              : std::string_view{};
+      const std::uint64_t start_ns = obs::TraceNowNs();
+      std::uint64_t scanned = 0;
+      const graph::Distance d =
+          s == t ? graph::Distance{0}
+                 : pll::QuerySentinelCounted(a, b, scanned);
+      out[i] = d;
+      options_.slow_log->Observe(s, t, d, scanned,
+                                 obs::TraceNowNs() - start_ns, trace_id);
     }
-    out[i] = d;
-    log.Observe(s, t, d, scanned, obs::TraceNowNs() - start_ns, trace_id);
   }
 }
 
@@ -211,7 +151,8 @@ std::uint64_t QueryEngine::QueryBatchTraced(
   // slow-query log keep the branch-minimal merge loop.
   const bool logged = options_.slow_log != nullptr;
   if (shards == 1 || pool_ == nullptr) {
-    logged ? RunShardLogged(pairs, out, 0, traces) : RunShard(pairs, out);
+    logged ? RunShard<true>(pairs, out, 0, traces)
+           : RunShard<false>(pairs, out, 0, traces);
   } else {
     const std::size_t chunk = (pairs.size() + shards - 1) / shards;
     for (std::size_t s = 0; s < shards; ++s) {
@@ -227,8 +168,8 @@ std::uint64_t QueryEngine::QueryBatchTraced(
         // samples and slow-log records attribute to it.
         obs::ScopedRequestContext shard_context(context);
         const std::uint64_t shard_start = metrics ? obs::TraceNowNs() : 0;
-        logged ? RunShardLogged(shard_pairs, shard_out, begin, traces)
-               : RunShard(shard_pairs, shard_out);
+        logged ? RunShard<true>(shard_pairs, shard_out, begin, traces)
+               : RunShard<false>(shard_pairs, shard_out, begin, traces);
         if (metrics) {
           static obs::Histogram& shard_ns =
               obs::Registry::Global().GetHistogram("query.batch.shard_ns");

@@ -1,24 +1,22 @@
 // Batched, multi-threaded query serving (the paper's §1 use case: index
 // once, then answer "heavy traffic" distance queries in microseconds).
 //
-// A QueryEngine answers from a pll::LabelSource — heap rows, a zero-copy
-// mmap of a format-v2 file, or a paged row cache (see pll/label_source.hpp)
-// — and owns a persistent worker pool. QueryBatch shards a batch of
-// (s, t) pairs into contiguous chunks, announces each shard's rows to the
-// source (Readahead, so the paged backend batch-faults its cold rows),
-// answers each chunk with the sentinel-row merge (pll::QuerySentinel)
-// while prefetching the next pair's label rows, and blocks until the
-// whole batch is answered in place. Results are bit-identical to calling
-// Index::Query per pair — batching and backend change scheduling and
-// ownership, never answers.
+// A QueryEngine answers from a pll::LabelSource view — heap rows or a
+// zero-copy mapping of a format-v2 file (see pll/label_source.hpp) — and
+// owns a persistent worker pool. QueryBatch shards a batch of (s, t)
+// pairs into contiguous chunks, answers each chunk with the sentinel-row
+// merge (pll::QuerySentinel) while prefetching the next pair's label
+// rows, and blocks until the whole batch is answered in place. Results
+// are bit-identical to calling Index::Query per pair — batching and
+// backend change scheduling and ownership, never answers.
 //
 // Threading contract: the engine may be shared by concurrent callers;
 // each QueryBatch call only reads the source and writes its own output
 // span, and the shared pool's Wait() returns no earlier than the caller's
 // own shards finishing. Metrics (when enabled) land in the global
 // registry under "query.batch.*", and the engine keeps the serving-side
-// "store.memory_bytes" / "store.cache.*" pull-gauges registered for its
-// lifetime — see EXPERIMENTS.md for the schema.
+// "store.memory_bytes" pull-gauge registered for its lifetime — see
+// EXPERIMENTS.md for the schema.
 #pragma once
 
 #include <cstddef>
@@ -68,8 +66,9 @@ class QueryEngine {
   explicit QueryEngine(const pll::Index& index,
                        QueryEngineOptions options = {});
 
-  // Owns (a share of) any label source. `order` is the rank -> original
-  // vertex id permutation matching the source's rank space.
+  // Shares ownership of a label source (its rows stay valid while the
+  // engine lives). `order` is the rank -> original vertex id permutation
+  // matching the source's rank space.
   QueryEngine(std::shared_ptr<const pll::LabelSource> source,
               std::span<const graph::VertexId> order,
               QueryEngineOptions options = {});
@@ -108,26 +107,22 @@ class QueryEngine {
   [[nodiscard]] graph::VertexId RankOf(graph::VertexId v) const {
     return rank_of_[v];
   }
-  // Batches the shard's row ranks into one Readahead call when the
-  // source wants it (paged backend: one cold-row burst per shard).
-  void AnnounceShard(std::span<const QueryPair> pairs) const;
-
-  // Answers one contiguous shard (already validated).
+  // Answers one contiguous shard (already validated), prefetching the
+  // next pair's rows while the current pair merges. With kLogged, each
+  // pair is also timed and scanned-entry-counted for the attached
+  // slow-query log; `base` is the shard's offset in the batch, used to
+  // resolve the trace slice covering each pair.
+  template <bool kLogged>
   void RunShard(std::span<const QueryPair> pairs,
-                std::span<graph::Distance> out) const;
-  // Same answers, but each pair is timed and scanned-entry-counted for
-  // the attached slow-query log. `base` is the shard's offset in the
-  // batch, used to resolve the trace slice covering each pair.
-  void RunShardLogged(std::span<const QueryPair> pairs,
-                      std::span<graph::Distance> out, std::size_t base,
-                      std::span<const BatchTraceSlice> traces) const;
+                std::span<graph::Distance> out, std::size_t base,
+                std::span<const BatchTraceSlice> traces) const;
 
   std::shared_ptr<const pll::LabelSource> source_;
   std::vector<graph::VertexId> rank_of_;  // original id -> rank
   QueryEngineOptions options_;
   std::unique_ptr<util::ThreadPool> pool_;  // null when threads == 1
-  // Serving-side pull-gauges (store.memory_bytes, store.cache.*);
-  // registered while this engine lives, metrics-gated.
+  // Serving-side pull-gauge (store.memory_bytes); registered while this
+  // engine lives, metrics-gated.
   std::vector<std::unique_ptr<obs::ScopedProbe>> probes_;
 };
 

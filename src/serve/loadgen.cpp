@@ -103,10 +103,12 @@ std::vector<query::QueryPair> RandomPairs(util::Rng& rng, std::size_t count,
   return pairs;
 }
 
+// Sends one request and records its latency from `begin_ns`: the send
+// time in the closed loop, the request's due time in the open loop.
 void OneRequest(ServeClient& client,
                 std::span<const query::QueryPair> pairs,
-                std::string_view trace_id, WorkerResult& result) {
-  const std::uint64_t begin_ns = obs::TraceNowNs();
+                std::string_view trace_id, std::uint64_t begin_ns,
+                WorkerResult& result) {
   try {
     const Response response = client.Distance(pairs, trace_id);
     result.latencies_ns.push_back(obs::TraceNowNs() - begin_ns);
@@ -183,14 +185,17 @@ LoadGenReport RunLoadGen(const LoadGenOptions& options) {
              r < options.requests_per_connection && client.Connected(); ++r) {
           const auto pairs = RandomPairs(rng, options.pairs_per_request,
                                          options.max_vertex);
-          OneRequest(client, pairs, TraceIdFor(options, w, r), result);
+          OneRequest(client, pairs, TraceIdFor(options, w, r),
+                     obs::TraceNowNs(), result);
         }
         return;
       }
-      // Open loop: request k (of this worker) fires at the absolute time
-      // start + (w + k * connections) / qps, independent of how long the
-      // previous one took — late responses inflate the percentiles
-      // instead of silently thinning the offered load.
+      // Open loop: request k (of this worker) is due at the absolute
+      // time start + (w + k * connections) / qps, independent of how long
+      // the previous one took, and its latency counts from that due time.
+      // A request held back behind a stalled one therefore reports the
+      // wait too (no coordinated omission): late responses inflate the
+      // percentiles instead of silently thinning the offered load.
       const double interval_ns = 1e9 / options.open_loop_qps;
       const auto duration_ns =
           static_cast<std::uint64_t>(options.duration_seconds * 1e9);
@@ -208,7 +213,8 @@ LoadGenReport RunLoadGen(const LoadGenOptions& options) {
         }
         const auto pairs = RandomPairs(rng, options.pairs_per_request,
                                        options.max_vertex);
-        OneRequest(client, pairs, TraceIdFor(options, w, k), result);
+        OneRequest(client, pairs, TraceIdFor(options, w, k), target_ns,
+                   result);
       }
     });
   }

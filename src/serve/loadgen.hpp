@@ -9,11 +9,14 @@
 //   * closed loop (open_loop_qps == 0): each connection fires
 //     requests_per_connection back-to-back requests — measures capacity.
 //   * open loop (open_loop_qps > 0): requests follow an absolute paced
-//     schedule (request k fires at start + k/qps, round-robined across
+//     schedule (request k is due at start + k/qps, round-robined across
 //     connections) for duration_seconds — measures latency at a fixed
-//     offered load, including coordinated-omission-free percentiles.
+//     offered load. Each latency counts from the request's due time, so
+//     a request delayed behind a stall reports that wait (percentiles
+//     free of coordinated omission).
 // The report carries answered/shed/error counts and p50/p99/p999 of the
-// per-request round-trip latency.
+// per-request latency: the round trip in the closed loop, due time to
+// response in the open loop.
 #pragma once
 
 #include <cstdint>

@@ -616,10 +616,10 @@ void QueryServer::TryReload() {
   last_stamp_ = stamp;
   try {
     // The configured backend decides how the republished artifact loads:
-    // heap deserializes, mmap/paged revalidate + map the v2 container
-    // (with heap fallback for v1 files, see pll/servable.hpp).
-    pll::ServableIndex servable = pll::ServableIndex::Load(
-        options_.watch_path, options_.backend, options_.cache_bytes);
+    // heap deserializes, mmap revalidates + maps the v2 container (with
+    // heap fallback for v1 files, see pll/servable.hpp).
+    pll::ServableIndex servable =
+        pll::ServableIndex::Load(options_.watch_path, options_.backend);
     if (!servable.IsComplete()) {
       throw std::runtime_error("serve: watched artifact is a checkpoint, "
                                "not a complete index");

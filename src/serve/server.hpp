@@ -72,14 +72,12 @@ struct ServeOptions {
   std::string watch_path;
   int watch_poll_ms = 200;
   // Label storage backend used when (re)loading the served index from a
-  // file (`serve --mmap` / `--cache-mb`). Zero-copy backends need the
-  // format-v2 container and fall back to heap for v1 artifacts (see
+  // file (`serve --mmap`). The mmap backend needs the format-v2
+  // container and falls back to heap for v1 artifacts (see
   // pll/servable.hpp). An mmap-backed snapshot is unmapped only after
   // the last in-flight batch drops its Served snapshot — the RCU flip
   // gives the unmap-after-drain guarantee for free.
   pll::StoreBackend backend = pll::StoreBackend::kHeap;
-  // Row-cache budget for the paged backend, in bytes.
-  std::size_t cache_bytes = std::size_t{64} << 20;
   // When non-null, every served pair is timed into this slow-query log
   // (with the request's wire-level trace id attached). Must outlive the
   // server; hot-swapped engines share it.

@@ -154,6 +154,10 @@ TEST(Checkpoint, CheckpointerTracksFrontierAndSnapshotCount) {
   checkpointer.OnRootFinished(2, stats, 1.0);
   EXPECT_EQ(checkpointer.SnapshotsWritten(), 1u);
   EXPECT_EQ(checkpointer.LastFrontier(), 2u);
+  // A worker that computed its frontier before the last report may
+  // deliver it after: the cursor must not move back.
+  checkpointer.OnRootFinished(1, stats, 1.0);
+  EXPECT_EQ(checkpointer.LastFrontier(), 2u);
 
   // The signal path writes whatever frontier is current.
   SnapshotActiveBuilds();
@@ -161,7 +165,7 @@ TEST(Checkpoint, CheckpointerTracksFrontierAndSnapshotCount) {
 
   const IndexArtifact artifact = IndexArtifact::Load(checkpointer.FilePath());
   EXPECT_EQ(artifact.Manifest().roots_completed, 2u);
-  EXPECT_EQ(artifact.Manifest().totals.labels_added, 2u);
+  EXPECT_EQ(artifact.Manifest().totals.labels_added, 3u);
   EXPECT_DOUBLE_EQ(artifact.Manifest().wall_seconds, 1.0);
   // Only hubs < frontier survive into the snapshot.
   EXPECT_EQ(artifact.index.Store().TotalEntries(), 3u);

@@ -24,10 +24,10 @@
 #include "pll/format_v2.hpp"
 #include "pll/index.hpp"
 #include "pll/label_store.hpp"
-#include "pll/mmap_store.hpp"
-#include "pll/paged_store.hpp"
+#include "pll/mapped_file.hpp"
 #include "pll/pruned_dijkstra.hpp"
 #include "pll/serial_pll.hpp"
+#include "pll/servable.hpp"
 
 namespace parapll {
 namespace {
@@ -366,8 +366,7 @@ TEST(CorruptManifest, LegacyStreamWithoutManifestStillLoads) {
 // Format-v2 container hardening. The same corrupt bytes go through BOTH
 // loaders: the heap reader (ReadIndexV2 via Index::Load, full per-entry
 // rigor) and the zero-copy mapping validator (ValidateV2Mapping, the O(n)
-// pass MmapLabelStore/PagedLabelStore run before serving pointers into
-// the file). Every corruption must throw from both — except in-row hub
+// pass the mmap load runs before serving pointers into the file). Every corruption must throw from both — except in-row hub
 // order, which is deliberately only the heap loader's job.
 //
 // V2Header layout offsets come from corrupt_cases.hpp.
@@ -559,21 +558,31 @@ TEST(CorruptIndexV2, UnsortedHubsRejectedByHeapLoaderOnly) {
 }
 
 #if PARAPLL_HAVE_MMAP
-// The full file path: MmapLabelStore::Open must reject a corrupt file
-// with a recoverable error, and never serve pointers into it.
+// The full file path: the mmap load must reject every corrupt file of the
+// v2 seed corpus with a recoverable error, and never serve pointers into
+// it. In-row hub order is the one corruption it accepts (see above); a
+// broken magic routes the file to the heap loader, which rejects it.
 TEST(CorruptIndexV2, MmapOpenRejectsCorruptFile) {
   const std::string path = ::testing::TempDir() + "parapll_corrupt_v2." +
                            std::to_string(::getpid()) + ".idx";
-  std::string bytes = V2Bytes(MakeManifestedIndex());
-  bytes[kV2Version] = 3;
-  {
-    std::ofstream out(path, std::ios::binary);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  for (const corpus::SeedCase& seed : corpus::IndexV2Seeds()) {
+    SCOPED_TRACE(seed.name);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(seed.bytes.data(),
+                static_cast<std::streamsize>(seed.bytes.size()));
+    }
+    if (seed.name == "valid" || seed.name == "unsorted-hubs") {
+      EXPECT_NO_THROW(
+          (void)pll::ServableIndex::Load(path, pll::StoreBackend::kMmap));
+    } else {
+      EXPECT_THROW(
+          (void)pll::ServableIndex::Load(path, pll::StoreBackend::kMmap),
+          std::runtime_error);
+    }
   }
-  EXPECT_THROW((void)pll::MmapLabelStore::Open(path), std::runtime_error);
-  EXPECT_THROW((void)pll::PagedLabelStore::Open(path, 1 << 20),
-               std::runtime_error);
-  EXPECT_THROW((void)pll::MmapLabelStore::Open(path + ".missing"),
+  EXPECT_THROW((void)pll::ServableIndex::Load(path + ".missing",
+                                              pll::StoreBackend::kMmap),
                std::runtime_error);
   std::remove(path.c_str());
 }

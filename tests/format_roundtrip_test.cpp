@@ -8,10 +8,9 @@
 //   * v2 -> load -> v2 is byte-idempotent with no adjustment at all.
 //
 // The degenerate shapes — a zero-vertex index and an all-empty-rows
-// index — must survive every backend (heap v1, heap v2, compact, mmap,
-// paged), because they are exactly the shapes ad-hoc loader arithmetic
-// tends to get wrong (n == 0 offset tables, rows that are only a
-// sentinel).
+// index — must survive every backend (heap v1, heap v2, compact, mmap),
+// because they are exactly the shapes ad-hoc loader arithmetic tends to
+// get wrong (n == 0 offset tables, rows that are only a sentinel).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -28,8 +27,8 @@
 #include "pll/format_v2.hpp"
 #include "pll/index.hpp"
 #include "pll/label_store.hpp"
-#include "pll/mmap_store.hpp"
-#include "pll/paged_store.hpp"
+#include "pll/mapped_file.hpp"
+#include "pll/servable.hpp"
 
 namespace parapll {
 namespace {
@@ -87,7 +86,7 @@ std::string BackendTempPath(const char* name) {
 }
 
 // Runs `index` through v1, v2-heap, compact, and (where available) the
-// mmap + paged zero-copy backends, checking the given probe distance.
+// zero-copy mmap backend, checking the given probe distance.
 void ExerciseAllBackends(const pll::Index& index, const char* tag,
                          graph::VertexId probe_s, graph::VertexId probe_t,
                          graph::Distance expected) {
@@ -114,17 +113,15 @@ void ExerciseAllBackends(const pll::Index& index, const char* tag,
 #ifdef PARAPLL_HAVE_MMAP
   const std::string path = BackendTempPath(tag);
   pll::WriteIndexV2File(index, path);
-  const auto mapped = pll::MmapLabelStore::Open(path);
-  EXPECT_EQ(mapped->NumVertices(), n);
-  const auto paged = pll::PagedLabelStore::Open(path, 1 << 16);
-  EXPECT_EQ(paged->NumVertices(), n);
+  const pll::ServableIndex mapped =
+      pll::ServableIndex::Load(path, pll::StoreBackend::kMmap);
+  EXPECT_EQ(mapped.backend, pll::StoreBackend::kMmap);
+  const pll::LabelSource& rows = *mapped.source;
+  EXPECT_EQ(rows.NumVertices(), n);
   if (n > 0) {
     // Zero-copy rows are sentinel-terminated; the merge must terminate.
-    EXPECT_EQ(pll::QuerySentinel(mapped->RowBegin(index.RankOf(probe_s)),
-                                 mapped->RowBegin(index.RankOf(probe_t))),
-              expected);
-    EXPECT_EQ(pll::QuerySentinel(paged->RowBegin(index.RankOf(probe_s)),
-                                 paged->RowBegin(index.RankOf(probe_t))),
+    EXPECT_EQ(pll::QuerySentinel(rows.RowBegin(index.RankOf(probe_s)),
+                                 rows.RowBegin(index.RankOf(probe_t))),
               expected);
   }
   std::remove(path.c_str());

@@ -1,16 +1,17 @@
-// The pluggable-label-storage contract: every LabelSource backend (heap
-// LabelStore, zero-copy MmapLabelStore, bounded PagedLabelStore) must
-// answer bit-identical distances through QueryEngine, and the format-v2
-// container must make the mmap path genuinely zero-copy (open time far
-// below the heap deserializer on a large index).
+// The one label-row read path: LabelSource is a view of the query
+// layout that a heap LabelStore and a mapped format-v2 file both hand
+// out. The two views of one file must hold identical offsets and entry
+// bytes and answer bit-identical distances through QueryEngine, and the
+// mmap load must be genuinely zero-copy (open time far below the heap
+// deserializer on a large index).
 #include "pll/label_source.hpp"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstring>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -20,9 +21,9 @@
 #include "graph/generators.hpp"
 #include "pll/format_v2.hpp"
 #include "pll/index.hpp"
-#include "pll/mmap_store.hpp"
-#include "pll/paged_store.hpp"
+#include "pll/mapped_file.hpp"
 #include "pll/serial_pll.hpp"
+#include "pll/servable.hpp"
 #include "query/query_engine.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -66,11 +67,12 @@ std::size_t FileBytes(const std::string& path) {
 
 TEST(StoreBackendTest, NamesRoundTrip) {
   for (const pll::StoreBackend backend :
-       {pll::StoreBackend::kHeap, pll::StoreBackend::kMmap,
-        pll::StoreBackend::kPaged}) {
+       {pll::StoreBackend::kHeap, pll::StoreBackend::kMmap}) {
     EXPECT_EQ(pll::StoreBackendFromString(pll::ToString(backend)), backend);
   }
   EXPECT_THROW((void)pll::StoreBackendFromString("disk"),
+               std::runtime_error);
+  EXPECT_THROW((void)pll::StoreBackendFromString("paged"),
                std::runtime_error);
 }
 
@@ -109,15 +111,18 @@ TEST(FormatV2Test, EmptyIndexRoundTrips) {
   pll::WriteIndexV2File(empty, path);
   EXPECT_EQ(pll::Index::LoadFile(path).NumVertices(), 0u);
 #if PARAPLL_HAVE_MMAP
-  EXPECT_EQ(pll::MmapLabelStore::Open(path)->NumVertices(), 0u);
+  EXPECT_EQ(
+      pll::ServableIndex::Load(path, pll::StoreBackend::kMmap).NumVertices(),
+      0u);
 #endif
   std::remove(path.c_str());
 }
 
 #if PARAPLL_HAVE_MMAP
 
-// The core acceptance matrix: on several graph families, every backend's
-// QueryBatch answers are bit-identical to the heap per-call baseline.
+// The core acceptance matrix: on several graph families, the heap and
+// mmap views of one file hold the same offsets and entry bytes, and both
+// answer QueryBatch bit-identically to the heap per-call baseline.
 TEST(LabelSourceTest, AllBackendsAnswerIdenticallyAcrossGraphFamilies) {
   struct Family {
     const char* name;
@@ -140,16 +145,30 @@ TEST(LabelSourceTest, AllBackendsAnswerIdenticallyAcrossGraphFamilies) {
       expected[i] = index.Query(pairs[i].first, pairs[i].second);
     }
 
-    const std::shared_ptr<pll::MmapLabelStore> mapped =
-        pll::MmapLabelStore::Open(path);
-    const std::shared_ptr<pll::PagedLabelStore> paged =
-        pll::PagedLabelStore::Open(path, FileBytes(path) / 4);
-    const std::shared_ptr<const pll::LabelSource> sources[] = {mapped, paged};
-    for (const auto& source : sources) {
-      SCOPED_TRACE(pll::ToString(source->Backend()));
-      EXPECT_EQ(source->NumVertices(), index.NumVertices());
-      EXPECT_EQ(source->TotalEntries(), index.TotalEntries());
-      query::QueryEngine engine(source, index.Order(),
+    const pll::ServableIndex heap =
+        pll::ServableIndex::Load(path, pll::StoreBackend::kHeap);
+    const pll::ServableIndex mapped =
+        pll::ServableIndex::Load(path, pll::StoreBackend::kMmap);
+    ASSERT_EQ(mapped.backend, pll::StoreBackend::kMmap);
+    const pll::LabelSource& h = *heap.source;
+    const pll::LabelSource& m = *mapped.source;
+    ASSERT_EQ(h.NumVertices(), index.NumVertices());
+    ASSERT_EQ(m.NumVertices(), index.NumVertices());
+    EXPECT_EQ(h.TotalEntries(), index.TotalEntries());
+    EXPECT_EQ(m.TotalEntries(), index.TotalEntries());
+    for (graph::VertexId v = 0; v < h.NumVertices(); ++v) {
+      ASSERT_EQ(m.RowBegin(v) - m.RowBegin(0), h.RowBegin(v) - h.RowBegin(0))
+          << "offset of row " << v;
+      ASSERT_EQ(m.Row(v).size(), h.Row(v).size()) << "row " << v;
+      // Entry bytes, the row's sentinel included.
+      ASSERT_EQ(std::memcmp(m.RowBegin(v), h.RowBegin(v),
+                            (h.Row(v).size() + 1) * sizeof(pll::LabelEntry)),
+                0)
+          << "entries of row " << v;
+    }
+    for (const pll::ServableIndex* servable : {&heap, &mapped}) {
+      SCOPED_TRACE(pll::ToString(servable->backend));
+      query::QueryEngine engine(servable->source, servable->order,
                                 {.threads = 2, .min_pairs_per_shard = 64});
       EXPECT_EQ(engine.QueryBatch(pairs), expected);
     }
@@ -157,126 +176,34 @@ TEST(LabelSourceTest, AllBackendsAnswerIdenticallyAcrossGraphFamilies) {
   }
 }
 
-TEST(MmapLabelStoreTest, ExposesManifestAndOrderFromTheMapping) {
+TEST(MmapLoadTest, ExposesManifestAndOrderFromTheMapping) {
   const Graph g = graph::ErdosRenyi(70, 210, kUniform, 41);
   const build::BuildOutcome built = build::Run(g, {});
   const std::string path = TempPath("view");
   pll::WriteIndexV2File(built.artifact.index, path);
 
-  const auto mapped = pll::MmapLabelStore::Open(path);
-  EXPECT_EQ(mapped->Manifest().graph_fingerprint,
+  const pll::ServableIndex mapped =
+      pll::ServableIndex::Load(path, pll::StoreBackend::kMmap);
+  EXPECT_EQ(mapped.backend, pll::StoreBackend::kMmap);
+  EXPECT_EQ(mapped.manifest.graph_fingerprint,
             built.artifact.Manifest().graph_fingerprint);
-  EXPECT_EQ(mapped->Manifest().format_version, pll::kIndexFormatV2);
-  EXPECT_TRUE(std::equal(mapped->OrderSpan().begin(),
-                         mapped->OrderSpan().end(),
-                         built.artifact.index.Order().begin(),
-                         built.artifact.index.Order().end()));
-  EXPECT_EQ(mapped->FileBytes(), FileBytes(path));
-  // Bookkeeping only: the mapping's pages are file-backed, not owned.
-  EXPECT_LT(mapped->MemoryBytes(), std::size_t{4096});
-  EXPECT_FALSE(mapped->Cache().valid);
+  EXPECT_EQ(mapped.format_version, pll::kIndexFormatV2);
+  EXPECT_EQ(mapped.order, built.artifact.index.Order());
+  EXPECT_EQ(mapped.file_bytes, FileBytes(path));
+  // The mapping's pages are file-backed, not owned heap bytes.
+  EXPECT_EQ(mapped.source->MemoryBytes(), 0u);
   std::remove(path.c_str());
 }
 
-// A quarter-of-the-index budget forces eviction traffic while every
-// answer stays correct, and the cache counters expose the churn.
-TEST(PagedLabelStoreTest, QuarterBudgetStaysCorrectAndCountsEvictions) {
-  const Graph g = graph::BarabasiAlbert(220, 4, kUniform, 51);
-  const pll::Index index = BuildIndex(g);
-  const std::string path = TempPath("quarter");
-  pll::WriteIndexV2File(index, path);
-
-  const std::size_t budget = FileBytes(path) / 4;
-  const auto paged = pll::PagedLabelStore::Open(path, budget);
-  EXPECT_EQ(paged->BudgetBytes(), budget);
-
-  const auto pairs = RandomPairs(g.NumVertices(), 4000, 61);
-  query::QueryEngine engine(paged, index.Order(), {.threads = 1});
-  const auto got = engine.QueryBatch(pairs);
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    ASSERT_EQ(got[i], index.Query(pairs[i].first, pairs[i].second))
-        << "pair " << i;
-  }
-
-  const pll::LabelSource::CacheStats stats = paged->Cache();
-  EXPECT_TRUE(stats.valid);
-  EXPECT_GT(stats.hits, 0u);
-  EXPECT_GT(stats.misses, 0u);
-  EXPECT_GT(stats.evictions, 0u);  // ¼ budget cannot hold the working set
-  EXPECT_LE(stats.resident_bytes, budget);
-  EXPECT_EQ(paged->MemoryBytes(), sizeof(pll::PagedLabelStore) +
-                                      static_cast<std::size_t>(
-                                          stats.resident_bytes));
-  std::remove(path.c_str());
-}
-
-// With a budget smaller than any row, every row takes the bypass path
-// (pointers into the mapping) and the cache never populates — yet the
-// distances are still exact.
-TEST(PagedLabelStoreTest, TinyBudgetBypassesCacheCorrectly) {
-  const Graph g = graph::ErdosRenyi(60, 180, kUniform, 71);
-  const pll::Index index = BuildIndex(g);
-  const std::string path = TempPath("bypass");
-  pll::WriteIndexV2File(index, path);
-
-  const auto paged = pll::PagedLabelStore::Open(path, 8);  // < one entry
-  const auto pairs = RandomPairs(g.NumVertices(), 500, 73);
-  query::QueryEngine engine(paged, index.Order(), {});
-  const auto got = engine.QueryBatch(pairs);
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    ASSERT_EQ(got[i], index.Query(pairs[i].first, pairs[i].second));
-  }
-  const pll::LabelSource::CacheStats stats = paged->Cache();
-  EXPECT_EQ(stats.hits + stats.misses, 0u);
-  EXPECT_EQ(stats.resident_bytes, 0u);
-  std::remove(path.c_str());
-}
-
-TEST(PagedLabelStoreTest, ReadaheadWarmsTheCache) {
-  const Graph g = graph::ErdosRenyi(50, 150, kUniform, 81);
-  const pll::Index index = BuildIndex(g);
-  const std::string path = TempPath("readahead");
-  pll::WriteIndexV2File(index, path);
-
-  const auto paged = pll::PagedLabelStore::Open(path, FileBytes(path));
-  ASSERT_TRUE(paged->WantsReadahead());
-  std::vector<graph::VertexId> ranks;
-  for (graph::VertexId v = 0; v < 16; ++v) {
-    ranks.push_back(v);
-  }
-  paged->Readahead(ranks);
-  const auto after_warm = paged->Cache();
-  EXPECT_EQ(after_warm.misses, 16u);
-  // Touching the warmed rows is all hits.
-  for (const graph::VertexId v : ranks) {
-    (void)paged->RowBegin(v);
-  }
-  const auto after_read = paged->Cache();
-  EXPECT_EQ(after_read.misses, 16u);
-  EXPECT_EQ(after_read.hits, 16u);
-  std::remove(path.c_str());
-}
-
-// Concurrent shards hammer the LRU under a small budget; the annotated
-// mutex plus the pin ring must keep every returned pointer valid (TSan /
-// ASan builds make this a real race detector).
-TEST(PagedLabelStoreTest, MultithreadedBatchesStayCorrectUnderEviction) {
-  const Graph g = graph::BarabasiAlbert(180, 3, kUniform, 91);
-  const pll::Index index = BuildIndex(g);
-  const std::string path = TempPath("threads");
-  pll::WriteIndexV2File(index, path);
-
-  const auto paged = pll::PagedLabelStore::Open(path, FileBytes(path) / 8);
-  query::QueryEngine engine(paged, index.Order(),
-                            {.threads = 4, .min_pairs_per_shard = 32});
-  for (std::uint64_t round = 0; round < 6; ++round) {
-    const auto pairs = RandomPairs(g.NumVertices(), 2000, 100 + round);
-    const auto got = engine.QueryBatch(pairs);
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      ASSERT_EQ(got[i], index.Query(pairs[i].first, pairs[i].second));
-    }
-  }
-  std::remove(path.c_str());
+// The heap view reports what its store owns.
+TEST(LabelSourceTest, HeapViewReportsTheStoresMemory) {
+  const pll::Index index =
+      BuildIndex(graph::ErdosRenyi(40, 120, kUniform, 43));
+  const pll::LabelSource view = index.Store().View();
+  EXPECT_EQ(view.MemoryBytes(), index.Store().MemoryBytes());
+  EXPECT_EQ(view.NumVertices(), index.NumVertices());
+  EXPECT_EQ(view.TotalEntries(), index.TotalEntries());
+  EXPECT_EQ(view.Query(0, 1), index.Store().Query(0, 1));
 }
 
 // Zero-copy is not a vibe: opening the mapped store must be dramatically
@@ -318,7 +245,8 @@ TEST(LabelSourceTest, MmapOpenIsFarCheaperThanHeapDeserialize) {
   const double heap_seconds =
       min_of_3([&] { (void)pll::Index::LoadFile(path); });
   const double mmap_seconds = min_of_3([&] {
-    (void)pll::MmapLabelStore::Open(path)->TotalEntries();
+    (void)pll::ServableIndex::Load(path, pll::StoreBackend::kMmap)
+        .source->TotalEntries();
   });
   EXPECT_LT(mmap_seconds * 2.0, heap_seconds)
       << "mmap open " << mmap_seconds << "s vs heap load " << heap_seconds

@@ -76,7 +76,7 @@ TEST(LabelStoreTest, AvgLabelSizeAndMemory) {
 // store.memory_bytes gauge relied on it. Moved-in vectors keep their
 // capacity, so an over-reserved FromFlat input pins the distinction.
 TEST(LabelStoreTest, MemoryBytesReportsCapacityNotSize) {
-  std::vector<std::size_t> offsets = {0, 2};
+  std::vector<std::uint64_t> offsets = {0, 2};
   std::vector<LabelEntry> entries = {
       {1, 4}, {graph::kInvalidVertex, graph::kInfiniteDistance}};
   offsets.reserve(64);
@@ -86,10 +86,10 @@ TEST(LabelStoreTest, MemoryBytesReportsCapacityNotSize) {
   const LabelStore store =
       LabelStore::FromFlat(std::move(offsets), std::move(entries));
   EXPECT_EQ(store.MemoryBytes(),
-            offsets_capacity * sizeof(std::size_t) +
+            offsets_capacity * sizeof(std::uint64_t) +
                 entries_capacity * sizeof(LabelEntry));
   EXPECT_GT(store.MemoryBytes(),
-            2 * sizeof(std::size_t) + 2 * sizeof(LabelEntry));
+            2 * sizeof(std::uint64_t) + 2 * sizeof(LabelEntry));
 }
 
 TEST(LabelStoreTest, FromFlatMatchesFromRows) {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -10,6 +9,7 @@
 #include "graph/generators.hpp"
 #include "parapll/parallel_indexer.hpp"
 #include "pll/serial_pll.hpp"
+#include "pll/servable.hpp"
 #include "util/rng.hpp"
 
 namespace parapll::query {
@@ -145,20 +145,19 @@ TEST(QueryEngineTest, LargeShardedBatchMatchesPerCall) {
   }
 }
 
-// The pluggable-source ctor (shared ownership of a LabelSource + vertex
-// order) must answer exactly like the legacy Index ctor — it is the same
-// engine the daemon builds over mmap/paged backends.
+// The shared-source ctor (shared ownership of a LabelSource + vertex
+// order) must answer exactly like the Index ctor — it is the same engine
+// the daemon builds over a ServableIndex.
 TEST(QueryEngineTest, SourceCtorMatchesIndexCtor) {
   const Graph g = graph::ErdosRenyi(100, 300, kUniform, 37);
-  auto owner = std::make_shared<pll::Index>(BuildTestIndex(g));
-  const std::shared_ptr<const pll::LabelSource> source(owner,
-                                                       &owner->Store());
-  QueryEngine engine(source, owner->Order(),
+  const pll::Index index = BuildTestIndex(g);
+  const pll::ServableIndex servable = pll::ServableIndex::FromIndex(index);
+  QueryEngine engine(servable.source, servable.order,
                      {.threads = 2, .min_pairs_per_shard = 16});
-  EXPECT_EQ(&engine.Source(), &owner->Store());
-  EXPECT_EQ(engine.NumVertices(), owner->NumVertices());
+  EXPECT_EQ(&engine.Source(), servable.source.get());
+  EXPECT_EQ(engine.NumVertices(), index.NumVertices());
   const auto pairs = RandomPairs(g.NumVertices(), 500, 41);
-  EXPECT_EQ(engine.QueryBatch(pairs), QueryEngine(*owner).QueryBatch(pairs));
+  EXPECT_EQ(engine.QueryBatch(pairs), QueryEngine(index).QueryBatch(pairs));
 }
 
 // A persistent engine answers many consecutive batches (the serving

@@ -22,7 +22,7 @@
 #include "build/pipeline.hpp"
 #include "graph/generators.hpp"
 #include "pll/format_v2.hpp"
-#include "pll/mmap_store.hpp"
+#include "pll/mapped_file.hpp"
 #include "pll/serial_pll.hpp"
 #include "pll/servable.hpp"
 #include "query/query_engine.hpp"
@@ -473,6 +473,98 @@ TEST(QueryServerTest, LoadGenClosedLoopAnswersEverything) {
   server.Stop();
 }
 
+// A one-connection stand-in daemon: answers every DISTANCE_QUERY with
+// zeros, but holds its first reply for `stall`.
+class StallingListener {
+ public:
+  explicit StallingListener(std::chrono::milliseconds stall) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (fd_ < 0 ||
+        ::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+        ::listen(fd_, 1) != 0 ||
+        ::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+      if (fd_ >= 0) {
+        ::close(fd_);
+      }
+      throw std::runtime_error("stalling listener: cannot listen");
+    }
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this, stall] { Serve(stall); });
+  }
+  ~StallingListener() {
+    ::shutdown(fd_, SHUT_RDWR);  // wakes accept() if nobody connected
+    thread_.join();
+    ::close(fd_);
+  }
+  StallingListener(const StallingListener&) = delete;
+  StallingListener& operator=(const StallingListener&) = delete;
+
+  [[nodiscard]] std::uint16_t Port() const { return port_; }
+
+ private:
+  // Runs until the client hangs up; a malformed frame also ends it, which
+  // the client sees as an error.
+  void Serve(std::chrono::milliseconds stall) {
+    const int conn = ::accept(fd_, nullptr, nullptr);
+    if (conn < 0) {
+      return;
+    }
+    FrameReader reader(kMaxRequestPayload);
+    std::string payload;
+    char buf[4096];
+    try {
+      for (bool first = true;; first = false) {
+        while (!reader.Next(payload)) {
+          const ssize_t n = util::RecvRetry(conn, buf, sizeof(buf));
+          if (n <= 0) {
+            ::close(conn);
+            return;
+          }
+          reader.Append(buf, static_cast<std::size_t>(n));
+        }
+        const Request request = DecodeRequestPayload(payload);
+        if (first) {
+          std::this_thread::sleep_for(stall);
+        }
+        const std::vector<graph::Distance> zeros(request.pairs.size(), 0);
+        (void)util::SendAll(conn, EncodeOkResponse(zeros, request.trace_id));
+      }
+    } catch (const std::exception&) {
+      ::close(conn);
+    }
+  }
+
+  int fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::thread thread_;
+};
+
+// Open-loop latency counts from each request's due time. One connection
+// offers 40 requests, one every millisecond, to a server that holds its
+// first reply for 50 ms: every later request is due during the stall
+// and waits behind it, so at least half of them wait over 20 ms. Timing
+// from the send instead would hide that wait (coordinated omission) and
+// put the p50 near the bare loopback round trip.
+TEST(LoadGenTest, OpenLoopLatencyIncludesTimeQueuedBehindAStall) {
+  StallingListener listener(std::chrono::milliseconds(50));
+  LoadGenOptions load;
+  load.port = listener.Port();
+  load.connections = 1;
+  load.pairs_per_request = 1;
+  load.max_vertex = 10;
+  load.open_loop_qps = 1000.0;
+  load.duration_seconds = 0.04;
+  const LoadGenReport report = RunLoadGen(load);
+  EXPECT_EQ(report.answered, 40u);
+  EXPECT_EQ(report.errors, 0u);
+  EXPECT_GE(report.p50_ns, 20'000'000u);
+  EXPECT_GE(report.p999_ns, 50'000'000u);
+}
+
 // Hot swap under live traffic: republish a different complete artifact
 // under the watched path while a client hammers the daemon. The swap must
 // be observed (Info().hot_swaps), and not a single query may fail.
@@ -609,8 +701,8 @@ std::string BackendTempPath(const char* name) {
          std::to_string(::getpid()) + ".idx";
 }
 
-// The daemon's answers must be bit-identical no matter which LabelSource
-// backend the served snapshot sits on.
+// The daemon's answers must be bit-identical whichever owner (heap store
+// or mapped file) the served snapshot's LabelSource views.
 TEST(QueryServerTest, ServesIdenticallyFromEveryBackend) {
   const Graph g = graph::ErdosRenyi(90, 270, {WeightModel::kUniform, 9}, 61);
   const build::BuildOutcome built = build::Run(g, {});
@@ -622,11 +714,9 @@ TEST(QueryServerTest, ServesIdenticallyFromEveryBackend) {
       query::QueryEngine(built.artifact.index).QueryBatch(pairs);
 
   for (const pll::StoreBackend backend :
-       {pll::StoreBackend::kHeap, pll::StoreBackend::kMmap,
-        pll::StoreBackend::kPaged}) {
+       {pll::StoreBackend::kHeap, pll::StoreBackend::kMmap}) {
     SCOPED_TRACE(pll::ToString(backend));
-    pll::ServableIndex servable =
-        pll::ServableIndex::Load(path, backend, /*cache_bytes=*/1 << 16);
+    pll::ServableIndex servable = pll::ServableIndex::Load(path, backend);
     EXPECT_EQ(servable.backend, backend);
     QueryServer server(std::move(servable), {});
     server.Start();
@@ -640,73 +730,67 @@ TEST(QueryServerTest, ServesIdenticallyFromEveryBackend) {
   std::remove(path.c_str());
 }
 
-// Hot swap on a zero-copy backend: the republished v2 file must flip in
+// Hot swap on the mmap backend: the republished v2 file must flip in
 // under live traffic without failing a query — the old mapping may only
 // be unmapped after in-flight batches drain (a use-after-unmap here is a
 // crash, which is exactly what this test would catch).
-TEST(QueryServerTest, HotSwapUnderTrafficOnZeroCopyBackends) {
+TEST(QueryServerTest, HotSwapUnderTrafficOnMmapBackend) {
   const Graph g1 =
       graph::ErdosRenyi(80, 240, {WeightModel::kUniform, 9}, 301);
   const Graph g2 =
       graph::ErdosRenyi(80, 260, {WeightModel::kUniform, 9}, 302);
-  for (const pll::StoreBackend backend :
-       {pll::StoreBackend::kMmap, pll::StoreBackend::kPaged}) {
-    SCOPED_TRACE(pll::ToString(backend));
-    const std::string path = BackendTempPath(pll::ToString(backend));
-    build::Run(g1, {}).artifact.Save(path, pll::kIndexFormatV2);
+  const std::string path = BackendTempPath("mmap");
+  build::Run(g1, {}).artifact.Save(path, pll::kIndexFormatV2);
 
-    ServeOptions options;
-    options.watch_path = path;
-    options.watch_poll_ms = 20;
-    options.backend = backend;
-    options.cache_bytes = 1 << 16;
-    QueryServer server(
-        pll::ServableIndex::Load(path, backend, options.cache_bytes),
-        options);
-    server.Start();
+  ServeOptions options;
+  options.watch_path = path;
+  options.watch_poll_ms = 20;
+  options.backend = pll::StoreBackend::kMmap;
+  QueryServer server(pll::ServableIndex::Load(path, options.backend),
+                     options);
+  server.Start();
 
-    std::atomic<bool> stop{false};
-    std::atomic<std::uint64_t> answered{0};
-    std::atomic<std::uint64_t> failed{0};
-    std::thread traffic([&] {
-      try {
-        ServeClient client;
-        client.Connect(server.Port());
-        const auto pairs = RandomPairs(80, 16, 77);
-        while (!stop.load()) {
-          const Response response = client.Distance(pairs);
-          if (response.status == ResponseStatus::kOk &&
-              response.distances.size() == pairs.size()) {
-            answered.fetch_add(1);
-          } else {
-            failed.fetch_add(1);
-          }
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> answered{0};
+  std::atomic<std::uint64_t> failed{0};
+  std::thread traffic([&] {
+    try {
+      ServeClient client;
+      client.Connect(server.Port());
+      const auto pairs = RandomPairs(80, 16, 77);
+      while (!stop.load()) {
+        const Response response = client.Distance(pairs);
+        if (response.status == ResponseStatus::kOk &&
+            response.distances.size() == pairs.size()) {
+          answered.fetch_add(1);
+        } else {
+          failed.fetch_add(1);
         }
-      } catch (const std::exception&) {
-        failed.fetch_add(1);
       }
-    });
-
-    build::Run(g2, {}).artifact.Save(path, pll::kIndexFormatV2);
-    ServeClient prober;
-    prober.Connect(server.Port());
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    std::uint64_t swaps = 0;
-    while (swaps == 0 && std::chrono::steady_clock::now() < deadline) {
-      swaps = prober.Info().hot_swaps;
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    } catch (const std::exception&) {
+      failed.fetch_add(1);
     }
-    stop.store(true);
-    traffic.join();
+  });
 
-    EXPECT_EQ(swaps, 1u);
-    EXPECT_EQ(failed.load(), 0u);
-    EXPECT_GT(answered.load(), 0u);
-    EXPECT_EQ(server.Stats().reload_errors, 0u);
-    server.Stop();
-    std::remove(path.c_str());
+  build::Run(g2, {}).artifact.Save(path, pll::kIndexFormatV2);
+  ServeClient prober;
+  prober.Connect(server.Port());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::uint64_t swaps = 0;
+  while (swaps == 0 && std::chrono::steady_clock::now() < deadline) {
+    swaps = prober.Info().hot_swaps;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
+  stop.store(true);
+  traffic.join();
+
+  EXPECT_EQ(swaps, 1u);
+  EXPECT_EQ(failed.load(), 0u);
+  EXPECT_GT(answered.load(), 0u);
+  EXPECT_EQ(server.Stats().reload_errors, 0u);
+  server.Stop();
+  std::remove(path.c_str());
 }
 
 // A v1 republish under a zero-copy watcher falls back to the heap loader

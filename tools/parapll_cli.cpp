@@ -65,7 +65,7 @@ int Usage() {
       "           --threads P --nodes Q --sync C --policy static|dynamic\n"
       "           --out FILE [--compact] [--index-format 1|2]\n"
       "           (format 2 is the 16-byte-aligned mmap-able container\n"
-      "           that serve --mmap / --cache-mb map zero-copy)\n"
+      "           that serve --mmap maps zero-copy)\n"
       "           [--checkpoint-dir D [--checkpoint-every K]] write a\n"
       "           resumable snapshot to D/checkpoint.bin every K roots\n"
       "           (and on SIGINT/SIGTERM); serial/parallel modes only\n"
@@ -78,17 +78,16 @@ int Usage() {
       "           rewrite an index into another container format\n"
       "  query-bench --index FILE [--compact] --pairs N [--pair-file F]\n"
       "           --threads P --batch B   (batched vs per-call throughput)\n"
-      "           [--backend heap|mmap|paged [--cache-bytes B]] answer the\n"
-      "           batched pass from another label source; distances are\n"
-      "           verified against the heap per-call baseline\n"
+      "           [--backend heap|mmap] answer the batched pass from\n"
+      "           another label source; distances are verified against\n"
+      "           the heap per-call baseline\n"
       "  serve    --index FILE [--port N] [--threads P] [--watch]\n"
       "           [--max-queued-pairs Q] [--idle-timeout-ms T]\n"
       "           [--port-file F]   TCP daemon answering DISTANCE_QUERY\n"
       "           frames (see EXPERIMENTS.md); --watch hot-swaps the\n"
       "           engine when the index file is republished\n"
-      "           [--mmap | --cache-mb M] zero-copy map a format-v2 index,\n"
-      "           or bound label memory with an M-MB hot-row cache; v1\n"
-      "           files fall back to the heap loader with a warning\n"
+      "           [--mmap] zero-copy map a format-v2 index; v1 files\n"
+      "           fall back to the heap loader with a warning\n"
       "           [--request-log FILE [--request-log-sample N]] wide-event\n"
       "           JSONL, one record per request (tail-sampled); also at\n"
       "           /debug/requests with --stats-port\n"
@@ -295,9 +294,9 @@ int CmdVerify(util::ArgParser& args) {
 }
 
 // Rewrites an index into another container format — chiefly v1 -> v2 so
-// an existing artifact can be served with --mmap / --cache-mb without a
-// rebuild. Loading funnels through Index::LoadFile, so either input
-// format (or --compact) converts to either output format.
+// an existing artifact can be served with --mmap without a rebuild.
+// Loading funnels through Index::LoadFile, so either input format (or
+// --compact) converts to either output format.
 int CmdConvert(util::ArgParser& args) {
   const std::string out = args.GetString("out");
   if (args.GetString("index").empty() || out.empty()) {
@@ -402,18 +401,7 @@ int CmdQueryBench(util::ArgParser& args) {
                    ToString(backend));
       return 1;
     }
-    auto cache_bytes = static_cast<std::size_t>(
-        std::max<std::int64_t>(args.GetInt("cache-bytes"), 0));
-    if (backend == pll::StoreBackend::kPaged && cache_bytes == 0) {
-      // Default paged budget: ¼ of the on-disk index (the memory-budget
-      // point tools/bench_snapshot.sh measures).
-      std::ifstream in(args.GetString("index"),
-                       std::ios::binary | std::ios::ate);
-      cache_bytes = static_cast<std::size_t>(
-          std::max<std::streamoff>(in.tellg(), 4096) / 4);
-    }
-    servable = pll::ServableIndex::Load(args.GetString("index"), backend,
-                                        cache_bytes);
+    servable = pll::ServableIndex::Load(args.GetString("index"), backend);
     engine = std::make_unique<query::QueryEngine>(
         servable.source, servable.order, engine_options);
   }
@@ -450,20 +438,6 @@ int CmdQueryBench(util::ArgParser& args) {
                 ToString(backend),
                 static_cast<double>(servable.file_bytes) / (1024.0 * 1024.0),
                 util::FormatDuration(servable.load_seconds).c_str());
-    const pll::LabelSource::CacheStats stats = engine->Source().Cache();
-    if (stats.valid) {
-      const std::uint64_t lookups = stats.hits + stats.misses;
-      std::printf("row cache:  %llu hits / %llu misses (%.1f%% hit rate), "
-                  "%llu evictions, %.2f MB resident\n",
-                  static_cast<unsigned long long>(stats.hits),
-                  static_cast<unsigned long long>(stats.misses),
-                  lookups == 0 ? 0.0
-                               : 100.0 * static_cast<double>(stats.hits) /
-                                     static_cast<double>(lookups),
-                  static_cast<unsigned long long>(stats.evictions),
-                  static_cast<double>(stats.resident_bytes) /
-                      (1024.0 * 1024.0));
-    }
   }
   if (slow_log != nullptr) {
     slow_log->Flush();
@@ -487,24 +461,13 @@ int CmdServe(util::ArgParser& args) {
     return 1;
   }
   serve::ServeOptions options;
-  // --mmap serves straight from the mapped v2 container; --cache-mb > 0
-  // bounds resident label memory with the paged row cache instead.
-  const bool use_mmap = args.GetBool("mmap");
-  const auto cache_mb = static_cast<std::size_t>(
-      std::max<std::int64_t>(args.GetInt("cache-mb"), 0));
-  if (use_mmap && cache_mb > 0) {
-    std::fprintf(stderr, "serve: --mmap and --cache-mb are exclusive\n");
-    return 1;
-  }
-  if (use_mmap) {
+  // --mmap serves straight from the mapped v2 container.
+  if (args.GetBool("mmap")) {
     options.backend = pll::StoreBackend::kMmap;
-  } else if (cache_mb > 0) {
-    options.backend = pll::StoreBackend::kPaged;
-    options.cache_bytes = cache_mb << 20;
   }
 
   pll::ServableIndex servable =
-      pll::ServableIndex::Load(path, options.backend, options.cache_bytes);
+      pll::ServableIndex::Load(path, options.backend);
   if (!servable.IsComplete()) {
     std::fprintf(stderr, "serve: %s is a partial checkpoint, not an index\n",
                  path.c_str());
@@ -655,12 +618,8 @@ int main(int argc, char** argv) {
       .Flag("index-format", "1",
             "build/convert: container format (1 = streamed, 2 = mmap-able)")
       .Flag("backend", "heap",
-            "query-bench: label source backend (heap|mmap|paged)")
-      .Flag("cache-bytes", "0",
-            "query-bench: paged row-cache budget bytes (0 = 1/4 file size)")
+            "query-bench: label source backend (heap|mmap)")
       .Flag("mmap", "false", "serve: zero-copy mmap the index (format v2)")
-      .Flag("cache-mb", "0",
-            "serve: paged row-cache budget MB (> 0 selects paged backend)")
       .Flag("pairs", "500", "pair count (verify/query-bench)")
       .Flag("pair-file", "", "file of 's t' pairs (query-bench)")
       .Flag("batch", "8192", "pairs per QueryBatch call (query-bench)")

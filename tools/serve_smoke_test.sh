@@ -232,31 +232,4 @@ DAEMON_PID=""
 grep -q '"index.load_seconds":' "$WORK/mmap_metrics.json"
 grep -q '"store.memory_bytes":' "$WORK/mmap_metrics.json"
 
-# --- bounded-memory serving: --cache-mb publishes the cache gauges -------
-"$CLI" serve --index "$WORK/g2.index" --cache-mb 1 \
-  --port-file "$WORK/paged_port" --stats-port 0 \
-  2> "$WORK/paged_daemon.log" &
-DAEMON_PID=$!
-PAGED_PORT="$(wait_port_file "$WORK/paged_port")"
-i=0
-until grep -q 'stats endpoint' "$WORK/paged_daemon.log"; do
-  i=$((i + 1))
-  [ "$i" -le 100 ] || { echo "paged stats endpoint never came up" >&2; exit 1; }
-  sleep 0.1
-done
-PAGED_STATS_PORT="$(sed -n 's#.*http://127.0.0.1:\([0-9]*\)/metrics.*#\1#p' \
-  "$WORK/paged_daemon.log")"
-grep -q 'mode=paged' "$WORK/paged_daemon.log"
-"$CLI" serve-bench --port "$PAGED_PORT" --connections 2 --requests 50 \
-  --pairs-per-request 8 > "$WORK/bench_paged.txt"
-grep -q ' 0 errors' "$WORK/bench_paged.txt"
-http_get "$PAGED_STATS_PORT" /metrics "$WORK/metrics_paged.txt"
-for name in parapll_store_cache_hits parapll_store_cache_misses \
-            parapll_store_cache_evictions parapll_store_cache_hit_rate; do
-  [ -n "$(metric_value "$WORK/metrics_paged.txt" "$name")" ] || {
-    echo "cache gauge $name missing from the paged /metrics" >&2; exit 1; }
-done
-kill -TERM "$DAEMON_PID" && wait "$DAEMON_PID" || true
-DAEMON_PID=""
-
 echo "serve smoke test: OK"
