@@ -1,6 +1,7 @@
 #include "build/build_plan.hpp"
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "build/artifact.hpp"
@@ -71,6 +72,19 @@ BuildContext Resolve(const graph::Graph& g, const BuildPlan& plan) {
     context.start_rank =
         static_cast<graph::VertexId>(manifest.roots_completed);
     context.seed_rows = artifact.index.Store().ToRows();
+    // A checkpoint holds only the finalized prefix: hubs < roots_completed
+    // (<= n, checked by Load). The pruning probe indexes its per-root hub
+    // array with every hub it reads, so reject anything else here.
+    for (const auto& row : context.seed_rows) {
+      for (const pll::LabelEntry& e : row) {
+        if (e.hub >= context.start_rank) {
+          throw std::runtime_error(
+              "checkpoint holds hub " + std::to_string(e.hub) +
+              " at or beyond its roots_completed cursor " +
+              std::to_string(context.start_rank));
+        }
+      }
+    }
     context.seed_totals = manifest.totals;
     context.seed_wall_seconds = manifest.wall_seconds;
     context.order = artifact.index.Order();

@@ -140,7 +140,10 @@ void ConcurrentLabelStore::Append(graph::VertexId v, graph::VertexId hub,
 std::size_t ConcurrentLabelStore::TotalEntries() const {
   std::size_t total = 0;
   for (graph::VertexId v = 0; v < NumVertices(); ++v) {
-    ForEach(v, [&total](graph::VertexId, graph::Distance) { ++total; });
+    ForEach(v, [&total](graph::VertexId, graph::Distance) {
+      ++total;
+      return false;
+    });
   }
   return total;
 }

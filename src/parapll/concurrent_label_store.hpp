@@ -53,14 +53,16 @@ class ConcurrentLabelStore {
   // Thread-safe append of (hub, dist) to L(v).
   void Append(graph::VertexId v, graph::VertexId hub, graph::Distance dist);
 
-  // Thread-safe iteration: fn(hub, dist) for every entry currently in
-  // L(v). The row lock is held across the callbacks; callbacks must be
-  // cheap and must not touch the store.
+  // Thread-safe iteration: fn(hub, dist) for the entries currently in
+  // L(v), until fn returns true. The row lock is held across the
+  // callbacks; callbacks must be cheap and must not touch the store.
   template <typename F>
   void ForEach(graph::VertexId v, F&& fn) const {
     LockRow(v);
     for (const pll::LabelEntry& e : rows_[v]) {
-      fn(e.hub, e.dist);
+      if (fn(e.hub, e.dist)) {
+        break;
+      }
     }
     UnlockRow(v);
   }

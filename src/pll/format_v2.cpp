@@ -1,5 +1,7 @@
 #include "pll/format_v2.hpp"
 
+#include <algorithm>
+#include <cstddef>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -98,6 +100,29 @@ void WritePad(std::ostream& out, std::uint64_t from, std::uint64_t to) {
   out.write(zeros, static_cast<std::streamsize>(to - from));
 }
 
+// Writes `count` entries in the in-memory layout, but with each entry's
+// four padding bytes (offsets 4–7) zero rather than whatever the heap
+// held, so one label set always yields the same file bytes.
+void WriteEntries(std::ostream& out, const LabelEntry* entries,
+                  std::uint64_t count) {
+  static_assert(offsetof(LabelEntry, hub) == 0 &&
+                offsetof(LabelEntry, dist) == 8);
+  constexpr std::uint64_t kChunk = 4096;
+  std::vector<char> buffer(kChunk * sizeof(LabelEntry), 0);
+  for (std::uint64_t done = 0; done < count;) {
+    const std::uint64_t size = std::min(kChunk, count - done);
+    char* slot = buffer.data();
+    for (std::uint64_t i = 0; i < size; ++i, slot += sizeof(LabelEntry)) {
+      const LabelEntry& e = entries[done + i];
+      std::memcpy(slot, &e.hub, sizeof(e.hub));
+      std::memcpy(slot + offsetof(LabelEntry, dist), &e.dist, sizeof(e.dist));
+    }
+    out.write(buffer.data(),
+              static_cast<std::streamsize>(size * sizeof(LabelEntry)));
+    done += size;
+  }
+}
+
 }  // namespace
 
 bool PeekV2Magic(std::istream& in) {
@@ -156,10 +181,8 @@ void WriteIndexV2(const Index& index, std::ostream& out) {
   WritePad(out, h.offsets_pos + (n + 1) * sizeof(std::uint64_t),
            h.entries_pos);
   if (n > 0) {
-    // Rows are contiguous in one flat array, sentinels interleaved; the
-    // whole query region is a single write.
-    out.write(reinterpret_cast<const char*>(store.RowBegin(0)),
-              static_cast<std::streamsize>(offset * sizeof(LabelEntry)));
+    // Rows are contiguous in one flat array, sentinels interleaved.
+    WriteEntries(out, store.RowBegin(0), offset);
   }
   if (!out) {
     Fail("write failed");

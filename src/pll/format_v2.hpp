@@ -23,6 +23,8 @@
 //     u64 order_pos      n * u32   (rank -> original vertex id)
 //     u64 offsets_pos    (n+1) * u64, in LabelEntry units incl. sentinels
 //     u64 entries_pos    (total_entries + n) * 16 bytes; 16-byte aligned
+//                        (u32 hub, 4 padding bytes, u64 dist); the writer
+//                        zeroes the padding, readers ignore it
 //     u64 file_bytes     declared total file size
 //   regions, in file order: manifest | order | offsets | pad | entries
 //

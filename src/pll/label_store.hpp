@@ -47,11 +47,14 @@ class MutableLabels {
     rows_[v].push_back(LabelEntry{hub, dist});
   }
 
-  // Calls fn(hub, dist) for every entry of L(v).
+  // Calls fn(hub, dist) for the entries of L(v) in order, until fn
+  // returns true.
   template <typename F>
   void ForEach(graph::VertexId v, F&& fn) const {
     for (const LabelEntry& e : rows_[v]) {
-      fn(e.hub, e.dist);
+      if (fn(e.hub, e.dist)) {
+        return;
+      }
     }
   }
 

@@ -16,7 +16,9 @@ class ParentRows {
   template <typename F>
   void ForEach(graph::VertexId v, F&& fn) const {
     for (const PathLabelEntry& e : rows_[v]) {
-      fn(e.hub, e.dist);
+      if (fn(e.hub, e.dist)) {
+        return;
+      }
     }
   }
 

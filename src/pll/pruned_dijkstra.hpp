@@ -12,11 +12,20 @@
 // the provably-safe side of the ordering induction (see DESIGN.md).
 //
 // The `Labels` parameter must provide:
-//   void ForEach(VertexId v, F fn) const   // fn(hub, dist) per visible entry
+//   void ForEach(VertexId v, F fn)   // bool fn(hub, dist) per visible entry;
+//                                    // the scan stops once fn returns true
 //   void Append(VertexId v, VertexId hub, Distance dist)
-// ForEach may surface entries concurrently appended by other roots; Append
-// must be safe against concurrent Appends to the same row (the serial
-// MutableLabels trivially satisfies both).
+// ForEach may surface entries concurrently appended by other roots, in any
+// hub order; every hub must be a rank < n. Append must be safe against
+// concurrent Appends to the same row (the serial MutableLabels trivially
+// satisfies both).
+//
+// The probe stops at its first witness: the running minimum only falls,
+// so once it is <= D[u] the rest of L(u) cannot change the verdict. It is
+// also branch-free per entry. RootDist() holds d(hub, r) for the hubs
+// h < r of L(r) and infinity everywhere else (the snapshot admits only
+// h < r; the reset restores infinity), so min(covered, root_dist[h] + d)
+// with a saturating sum already ignores every other hub.
 //
 // A Labels type may instead provide
 //   void AppendWithParent(VertexId v, VertexId hub, Distance dist,
@@ -28,6 +37,7 @@
 // chains can always be walked through the label store.
 #pragma once
 
+#include <algorithm>
 #include <queue>
 #include <vector>
 
@@ -46,7 +56,7 @@ struct PruneStats {
   std::size_t labels_added = 0;   // entries appended (this root's column)
   std::size_t relaxations = 0;    // edges examined
   std::size_t heap_pushes = 0;
-  std::size_t probe_entries = 0;  // label entries touched by pruning tests
+  std::size_t probe_entries = 0;  // label entries the pruning tests read
 
   PruneStats& operator+=(const PruneStats& other) {
     settled += other.settled;
@@ -92,7 +102,11 @@ class PruneScratch {
 // Folds one root's PruneStats into the global metrics registry. Called
 // once per Pruned Dijkstra (not per event), so the cost is a handful of
 // sharded counter adds regardless of graph size.
-inline void RecordPruneMetrics(const PruneStats& stats) {
+// `witness_entries` is the part of stats.probe_entries read by the probes
+// that pruned (found a witness); ÷ pll.prune_hits it is the mean witness
+// depth. It stays out of PruneStats, whose six totals the manifest stores.
+inline void RecordPruneMetrics(const PruneStats& stats,
+                               std::size_t witness_entries) {
   auto& registry = obs::Registry::Global();
   static obs::Counter& roots = registry.GetCounter("pll.roots_expanded");
   static obs::Counter& settled = registry.GetCounter("pll.settled");
@@ -102,6 +116,8 @@ inline void RecordPruneMetrics(const PruneStats& stats) {
   static obs::Counter& heap_pops = registry.GetCounter("pll.heap_pops");
   static obs::Counter& heap_pushes = registry.GetCounter("pll.heap_pushes");
   static obs::Counter& probes = registry.GetCounter("pll.probe_entries");
+  static obs::Counter& to_witness =
+      registry.GetCounter("pll.probe_entries_to_witness");
   static obs::Histogram& labels_per_root =
       registry.GetHistogram("pll.labels_per_root");
   roots.Add(1);
@@ -114,6 +130,7 @@ inline void RecordPruneMetrics(const PruneStats& stats) {
   heap_pops.Add(stats.heap_pushes);
   heap_pushes.Add(stats.heap_pushes);
   probes.Add(stats.probe_entries);
+  to_witness.Add(witness_entries);
   labels_per_root.Record(stats.labels_added);
 }
 
@@ -125,6 +142,7 @@ PruneStats PrunedDijkstra(const graph::Graph& rank_graph,
   PARAPLL_DCHECK(scratch.Size() == rank_graph.NumVertices());
   PARAPLL_SPAN("pruned_dijkstra", "root", root);
   PruneStats stats;
+  std::size_t witness_entries = 0;  // see RecordPruneMetrics
 
   // Detect at compile time whether the label store wants search-tree
   // parents along with each entry (see header comment).
@@ -151,6 +169,7 @@ PruneStats PrunedDijkstra(const graph::Graph& rank_graph,
       }
       root_dist[hub] = d;
     }
+    return false;  // read all of L(root)
   });
 
   using HeapEntry = std::pair<graph::Distance, graph::VertexId>;
@@ -171,22 +190,22 @@ PruneStats PrunedDijkstra(const graph::Graph& rank_graph,
     }
     ++stats.settled;
 
-    // Pruning test: QUERY(root, u) over currently-visible labels.
+    // Pruning test: QUERY(root, u) over currently-visible labels, up to
+    // the first witness (see header comment).
     graph::Distance covered = graph::kInfiniteDistance;
+    std::size_t read = 0;
     labels.ForEach(u, [&](graph::VertexId hub, graph::Distance hd) {
-      ++stats.probe_entries;
-      if (hub < root && root_dist[hub] != graph::kInfiniteDistance) {
-        // Saturating: a wrapped sum would look like a short witness path
-        // and wrongly prune u (paper Proposition 1 only tolerates
-        // *redundant* labels, never missing ones).
-        const graph::Distance via = graph::SaturatingAdd(root_dist[hub], hd);
-        if (via < covered) {
-          covered = via;
-        }
-      }
+      ++read;
+      // Saturating: a wrapped sum would look like a short witness path
+      // and wrongly prune u (paper Proposition 1 only tolerates
+      // *redundant* labels, never missing ones).
+      covered = std::min(covered, graph::SaturatingAdd(root_dist[hub], hd));
+      return covered <= d;
     });
+    stats.probe_entries += read;
     if (covered <= d) {
       ++stats.pruned;
+      witness_entries += read;
       continue;
     }
 
@@ -222,7 +241,7 @@ PruneStats PrunedDijkstra(const graph::Graph& rank_graph,
     root_dist[hub] = graph::kInfiniteDistance;
   }
   if (obs::MetricsEnabled()) {
-    RecordPruneMetrics(stats);
+    RecordPruneMetrics(stats, witness_entries);
   }
   return stats;
 }

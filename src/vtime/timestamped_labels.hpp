@@ -34,12 +34,13 @@ class TimestampedLabels {
     rows_[v].push_back(Entry{hub, dist, stamp});
   }
 
-  // fn(hub, dist) for entries published at or before `now`.
+  // fn(hub, dist) for the entries published at or before `now`, until fn
+  // returns true.
   template <typename F>
   void ForEachVisible(graph::VertexId v, double now, F&& fn) const {
     for (const Entry& e : rows_[v]) {
-      if (e.stamp <= now) {
-        fn(e.hub, e.dist);
+      if (e.stamp <= now && fn(e.hub, e.dist)) {
+        return;
       }
     }
   }
@@ -89,11 +90,13 @@ class SimLabelView {
     } else {
       now_ += cost_.settle;
     }
+    // Charged per entry read: a scan that fn stops is charged only for the
+    // entries before the stop.
     std::size_t entries = 0;
     labels_.ForEachVisible(v, now_, [&](graph::VertexId hub,
                                         graph::Distance dist) {
       ++entries;
-      fn(hub, dist);
+      return fn(hub, dist);
     });
     now_ += cost_.probe * static_cast<double>(entries);
   }

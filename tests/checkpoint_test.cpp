@@ -16,6 +16,7 @@
 #include "build/build_plan.hpp"
 #include "build/pipeline.hpp"
 #include "graph/generators.hpp"
+#include "obs/metrics.hpp"
 #include "pll/index.hpp"
 #include "pll/label_store.hpp"
 #include "pll/verify.hpp"
@@ -202,6 +203,46 @@ TEST(Checkpoint, ResumeRejectsMismatchedGraph) {
   BuildPlan missing;
   missing.resume_dir = FreshDir("never_written");
   EXPECT_THROW(build::Run(g, missing), std::runtime_error);
+}
+
+// A valid checkpoint holds only hubs below its roots_completed cursor,
+// and the pruning probe indexes a per-root array with every hub it reads.
+// A checkpoint row holding a hub >= n, or one in [cursor, n), must fail
+// the resume before any root runs.
+TEST(Checkpoint, ResumeRejectsHubsAtOrBeyondTheCursor) {
+  const graph::Graph g = TestGraph();
+  const graph::VertexId n = g.NumVertices();
+  const std::string dir = FreshDir("hub_range");
+  BuildPlan plan;
+  plan.halt_after_roots = 20;
+  plan.checkpoint_dir = dir;
+  ASSERT_FALSE(build::Run(g, plan).complete);
+  const std::string path = dir + "/checkpoint.bin";
+  const IndexArtifact valid = IndexArtifact::Load(path);
+  const auto cursor =
+      static_cast<graph::VertexId>(valid.Manifest().roots_completed);
+  ASSERT_GT(cursor, 0u);
+  ASSERT_LT(cursor + 1, n);
+
+  obs::Registry& registry = obs::Registry::Global();
+  for (const graph::VertexId hub : {n + 3, cursor + 1}) {
+    std::vector<std::vector<pll::LabelEntry>> rows =
+        valid.index.Store().ToRows();
+    rows[0].push_back({hub, 1});  // the row's largest hub: still sorted
+    pll::Index tampered(pll::LabelStore::FromRows(std::move(rows)),
+                        valid.index.Order());
+    tampered.SetManifest(valid.Manifest());
+    IndexArtifact{std::move(tampered)}.Save(path);
+
+    BuildPlan resume;
+    resume.resume_dir = dir;
+    registry.Reset();
+    obs::SetMetricsEnabled(true);
+    EXPECT_THROW(build::Run(g, resume), std::runtime_error) << "hub " << hub;
+    obs::SetMetricsEnabled(false);
+    EXPECT_EQ(registry.GetCounter("pll.roots_expanded").Value(), 0u)
+        << "hub " << hub;
+  }
 }
 
 TEST(Checkpoint, ResumingACompleteBuildIsANoOpBuild) {

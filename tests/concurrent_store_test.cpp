@@ -19,11 +19,28 @@ TEST_P(ConcurrentStoreModes, SingleThreadAppendAndRead) {
   std::vector<std::pair<graph::VertexId, graph::Distance>> seen;
   store.ForEach(0, [&seen](graph::VertexId hub, graph::Distance dist) {
     seen.emplace_back(hub, dist);
+    return false;
   });
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0], std::make_pair(graph::VertexId{1}, graph::Distance{10}));
   EXPECT_EQ(seen[1], std::make_pair(graph::VertexId{2}, graph::Distance{20}));
   EXPECT_EQ(store.TotalEntries(), 3u);
+}
+
+TEST_P(ConcurrentStoreModes, ForEachStopsWhenTheCallbackSaysSo) {
+  ConcurrentLabelStore store(2, GetParam());
+  for (graph::VertexId hub = 0; hub < 5; ++hub) {
+    store.Append(1, hub, 10 + hub);
+  }
+  std::vector<graph::VertexId> seen;
+  store.ForEach(1, [&seen](graph::VertexId hub, graph::Distance) {
+    seen.push_back(hub);
+    return hub == 1;
+  });
+  EXPECT_EQ(seen, (std::vector<graph::VertexId>{0, 1}));
+  // The early exit released the row lock: the row is writable again.
+  store.Append(1, 5, 15);
+  EXPECT_EQ(store.TotalEntries(), 6u);
 }
 
 TEST_P(ConcurrentStoreModes, ConcurrentAppendsAllLand) {
@@ -70,6 +87,7 @@ TEST_P(ConcurrentStoreModes, ConcurrentReadersDuringWrites) {
           // Entries from one writer arrive in increasing dist order, but
           // interleaving is fine; just touch the data.
           previous += dist;
+          return false;
         });
         ++reads;
       }

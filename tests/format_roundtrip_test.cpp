@@ -5,7 +5,9 @@
 //   * v1 -> v2 -> v1 reproduces the original v1 bytes exactly, once the
 //     manifest's container stamp (format_version, which records where
 //     the manifest was read from) is restored;
-//   * v2 -> load -> v2 is byte-idempotent with no adjustment at all.
+//   * v2 -> load -> v2 is byte-idempotent with no adjustment at all;
+//   * v2 entries carry zero padding bytes, so two serial builds of one
+//     graph write identical v2 files.
 //
 // The degenerate shapes — a zero-vertex index and an all-empty-rows
 // index — must survive every backend (heap v1, heap v2, compact, mmap),
@@ -14,14 +16,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <unistd.h>
 
+#include "build/pipeline.hpp"
 #include "corrupt_cases.hpp"
+#include "graph/generators.hpp"
 #include "graph/types.hpp"
 #include "pll/compact_io.hpp"
 #include "pll/format_v2.hpp"
@@ -36,6 +42,11 @@ namespace {
 using corpus::IndexBytes;
 using corpus::MakeManifestedIndex;
 using corpus::V2Bytes;
+
+std::string BackendTempPath(const char* name) {
+  return ::testing::TempDir() + "parapll_roundtrip_" + name + "." +
+         std::to_string(::getpid()) + ".v2";
+}
 
 pll::Index LoadV1(const std::string& bytes) {
   std::istringstream in(bytes, std::ios::binary);
@@ -68,6 +79,54 @@ TEST(FormatRoundTrip, V2ToV2IsByteIdempotent) {
   EXPECT_EQ(V2Bytes(LoadV2(v2)), v2);
 }
 
+// Each 16-byte entry has 4 padding bytes (offsets 4–7). Files written by
+// older binaries may hold heap garbage there: readers must ignore it, and
+// the writer must put zeros there whatever the loaded entries carry.
+TEST(FormatRoundTrip, V2WriterZeroesEntryPaddingReadersIgnoreIt) {
+  const std::string clean = V2Bytes(MakeManifestedIndex());
+  pll::V2Header h;
+  std::memcpy(&h, clean.data(), sizeof(h));
+  ASSERT_EQ(h.file_bytes, clean.size());
+  std::string dirty = clean;
+  std::size_t padding_bytes = 0;
+  for (std::uint64_t pos = h.entries_pos; pos < h.file_bytes;
+       pos += sizeof(pll::LabelEntry)) {
+    for (std::uint64_t k = 4; k < 8; ++k) {
+      EXPECT_EQ(clean[pos + k], '\0') << "entry byte " << pos + k;
+      dirty[pos + k] = static_cast<char>(0xA5);
+      ++padding_bytes;
+    }
+  }
+  ASSERT_GT(padding_bytes, 0u);
+  const pll::Index loaded = LoadV2(dirty);
+  EXPECT_EQ(loaded.Store(), LoadV2(clean).Store());
+  EXPECT_TRUE(V2Bytes(loaded) == clean);  // == avoids dumping the bytes
+}
+
+// The serial label set does not depend on anything but the graph, so two
+// serial builds must write byte-identical v2 files once the manifest's
+// two run stamps (wall time and creation time) are equalized.
+TEST(FormatRoundTrip, SerialBuildsWriteByteIdenticalV2Files) {
+  const graph::Graph g = graph::BarabasiAlbert(
+      400, 3, {graph::WeightModel::kUniform, 50}, 12);
+  std::vector<std::string> files;
+  for (const char* tag : {"serial_a", "serial_b"}) {
+    pll::Index index = build::Run(g, {}).artifact.index;
+    pll::BuildManifest manifest = index.Manifest();
+    manifest.wall_seconds = 0.0;
+    manifest.created_unix = 0;
+    index.SetManifest(manifest);
+    const std::string path = BackendTempPath(tag);
+    pll::WriteIndexV2File(index, path);
+    std::ifstream in(path, std::ios::binary);
+    files.emplace_back(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+    std::remove(path.c_str());
+  }
+  ASSERT_GT(files[0].size(), sizeof(pll::V2Header));
+  EXPECT_TRUE(files[0] == files[1]);  // == avoids dumping the bytes
+}
+
 TEST(FormatRoundTrip, CompactPreservesTheIndex) {
   const pll::Index original = MakeManifestedIndex();
   std::ostringstream out(std::ios::binary);
@@ -79,11 +138,6 @@ TEST(FormatRoundTrip, CompactPreservesTheIndex) {
 }
 
 // --- degenerate shapes through every backend ---------------------------
-
-std::string BackendTempPath(const char* name) {
-  return ::testing::TempDir() + "parapll_roundtrip_" + name + "." +
-         std::to_string(::getpid()) + ".v2";
-}
 
 // Runs `index` through v1, v2-heap, compact, and (where available) the
 // zero-copy mmap backend, checking the given probe distance.

@@ -34,10 +34,24 @@ TEST(MutableLabelsTest, AppendAndIterate) {
   std::vector<LabelEntry> seen;
   labels.ForEach(1, [&seen](graph::VertexId hub, graph::Distance dist) {
     seen.push_back(LabelEntry{hub, dist});
+    return false;
   });
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0], (LabelEntry{0, 7}));
   EXPECT_EQ(labels.TotalEntries(), 2u);
+}
+
+TEST(MutableLabelsTest, ForEachStopsWhenTheCallbackSaysSo) {
+  MutableLabels labels(1);
+  labels.Append(0, 0, 7);
+  labels.Append(0, 1, 3);
+  labels.Append(0, 2, 1);
+  std::size_t calls = 0;
+  labels.ForEach(0, [&calls](graph::VertexId, graph::Distance dist) {
+    ++calls;
+    return dist == 3;
+  });
+  EXPECT_EQ(calls, 2u);
 }
 
 TEST(LabelStoreTest, FromRowsSortsAndDedups) {

@@ -187,6 +187,12 @@ TEST(ParallelIndexer, InstrumentedCountersMatchPruneStatsTotals) {
             result.totals.heap_pushes);
   EXPECT_EQ(registry.GetCounter("pll.probe_entries").Value(),
             result.totals.probe_entries);
+  // Every pruned probe read at least its witness, and only part of all
+  // the entries the probes read.
+  const std::uint64_t to_witness =
+      registry.GetCounter("pll.probe_entries_to_witness").Value();
+  EXPECT_GE(to_witness, result.totals.pruned);
+  EXPECT_LE(to_witness, result.totals.probe_entries);
   // Labels-added histogram saw every root once.
   EXPECT_EQ(registry.GetHistogram("pll.labels_per_root").Snapshot().count,
             g.NumVertices());

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -208,36 +209,41 @@ TEST(ProfilerTest, OverheadOnQueryThroughputIsBounded) {
   query::QueryEngine engine(index, {.threads = 1});
   std::vector<graph::Distance> out(pairs.size());
 
-  // Min-of-3 fixed-work wall time, with and without the profiler at its
-  // default 97 Hz. The minimum filters scheduler noise; the generous
-  // bound keeps a loaded CI core from flaking while still catching a
-  // profiler that makes sampling anywhere near expensive (the real
-  // measured overhead is <5%; see EXPERIMENTS.md).
+  // Fixed-work wall time, with and without the profiler at its default
+  // 97 Hz. The two kinds of pass alternate, so a load burst (a parallel
+  // ctest run) hits both sides rather than only the later one, and each
+  // side keeps its minimum, which filters scheduler noise. The generous
+  // bound still catches a profiler that makes sampling anywhere near
+  // expensive (the real measured overhead is <5%; see EXPERIMENTS.md).
+  // The sample pool is kept small: at the default pool size each Start()
+  // zero-fills ~147 MB, which evicts the index from the caches and costs
+  // CPU time a loaded scheduler then takes back during the next pass,
+  // and neither is sampling overhead.
+  ProfilerOptions options;
+  options.ring_capacity = 1024;
+  options.max_threads = 4;
   auto run_once = [&] {
     const std::uint64_t begin_ns = TraceNowNs();
     engine.QueryBatch(pairs, out);
     return TraceNowNs() - begin_ns;
   };
-  auto min_of_three = [&] {
-    std::uint64_t best = run_once();
-    for (int i = 0; i < 2; ++i) {
-      best = std::min(best, run_once());
-    }
-    return best;
-  };
 
   (void)run_once();  // warm caches before either measurement
-  const std::uint64_t base_ns = min_of_three();
-  Profiler::Global().Start();
-  const std::uint64_t profiled_ns = min_of_three();
-  const ProfileReport report = Profiler::Global().Stop();
+  std::uint64_t base_ns = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t profiled_ns = std::numeric_limits<std::uint64_t>::max();
+  std::size_t samples = 0;
+  for (int round = 0; round < 5; ++round) {
+    base_ns = std::min(base_ns, run_once());
+    Profiler::Global().Start(options);
+    profiled_ns = std::min(profiled_ns, run_once());
+    samples += Profiler::Global().Stop().samples;
+  }
 
   ASSERT_GT(base_ns, 0u);
   const double overhead =
       static_cast<double>(profiled_ns) / static_cast<double>(base_ns) - 1.0;
   EXPECT_LT(overhead, 0.25) << "profiled " << profiled_ns << "ns vs "
-                            << base_ns << "ns (" << report.samples
-                            << " samples)";
+                            << base_ns << "ns (" << samples << " samples)";
 }
 
 }  // namespace
