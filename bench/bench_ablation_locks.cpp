@@ -6,7 +6,6 @@
 // contention); the bench still validates that all modes agree on the
 // index and reports the measured times and operation counts.
 #include "common.hpp"
-#include "parapll/parallel_indexer.hpp"
 #include "util/table.hpp"
 
 namespace parapll::bench {
@@ -40,21 +39,22 @@ int Run(int argc, char** argv) {
       for (const auto mode :
            {parallel::LockMode::kGlobal, parallel::LockMode::kStriped,
             parallel::LockMode::kPerRow}) {
-        parallel::ParallelBuildOptions options;
-        options.threads = static_cast<std::size_t>(threads);
-        options.policy = parallel::AssignmentPolicy::kDynamic;
-        options.lock_mode = mode;
-        const auto result = BuildParallel(d.graph, options);
+        const auto result =
+            build::Run(d.graph, {.mode = build::BuildMode::kParallel,
+                                 .threads = static_cast<std::size_t>(threads),
+                                 .policy = parallel::AssignmentPolicy::kDynamic,
+                                 .lock_mode = mode});
+        const pll::Index& index = result.artifact.index;
         if (reference_entries == 0) {
-          reference_entries = result.store.TotalEntries();
+          reference_entries = index.TotalEntries();
         }
         table.Row()
             .Cell(d.spec.name)
             .Cell(threads)
             .Cell(ToString(mode))
-            .Cell(result.indexing_seconds, 3)
-            .Cell(result.store.AvgLabelSize(), 1)
-            .Cell(static_cast<std::uint64_t>(result.store.TotalEntries()))
+            .Cell(result.wall_seconds, 3)
+            .Cell(index.AvgLabelSize(), 1)
+            .Cell(static_cast<std::uint64_t>(index.TotalEntries()))
             .Cell(static_cast<std::uint64_t>(result.totals.probe_entries));
       }
     }

@@ -38,16 +38,16 @@ int Run(int argc, char** argv) {
                      "max/min node compute"});
   for (const auto& d : datasets) {
     const double seconds_per_unit =
-        vtime::CalibrateSecondsPerUnit(d.graph, vtime::CostModel{});
+        build::CalibrateSecondsPerUnit(d.graph, vtime::CostModel{});
     for (const auto ownership :
          {cluster::OwnershipPolicy::kRoundRobin,
           cluster::OwnershipPolicy::kBlock,
           cluster::OwnershipPolicy::kRandom}) {
-      cluster::ClusterBuildOptions options;
-      options.nodes = nodes;
-      options.sync_count = sync;
-      options.ownership = ownership;
-      const auto result = BuildCluster(d.graph, options);
+      const auto result =
+          build::Run(d.graph, {.mode = build::BuildMode::kCluster,
+                               .nodes = nodes,
+                               .sync_count = sync,
+                               .ownership = ownership});
       const double max_compute =
           *std::max_element(result.node_compute_units.begin(),
                             result.node_compute_units.end());
@@ -58,7 +58,7 @@ int Run(int argc, char** argv) {
           .Cell(d.spec.name)
           .Cell(cluster::ToString(ownership))
           .Cell(result.makespan_units * seconds_per_unit, 3)
-          .Cell(result.store.AvgLabelSize(), 1)
+          .Cell(result.artifact.index.AvgLabelSize(), 1)
           .Cell(result.makespan_units, 0)
           .Cell(min_compute > 0 ? max_compute / min_compute : 0.0, 2);
     }

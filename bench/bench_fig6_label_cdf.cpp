@@ -6,19 +6,17 @@
 // about a hundred invocations, and the parallel traces track the serial
 // one (no apparent pruning-efficiency gap).
 #include "common.hpp"
-#include "pll/serial_pll.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
-#include "vtime/sim_indexer.hpp"
 
 namespace parapll::bench {
 namespace {
 
-util::CumulativeSeries TraceToSeries(
-    const std::vector<std::pair<graph::VertexId, std::size_t>>& trace) {
+// Labels added per root, in the order the build traced its roots.
+util::CumulativeSeries TraceToSeries(const build::BuildOutcome& outcome) {
   util::CumulativeSeries series;
-  for (const auto& [root, labels_added] : trace) {
-    series.Append(labels_added);
+  for (const auto& [root, stats] : outcome.trace) {
+    series.Append(stats.labels_added);
   }
   return series;
 }
@@ -49,25 +47,17 @@ int Run(int argc, char** argv) {
   for (const auto& d : datasets) {
     PrintDatasetHeader(d);
 
-    pll::SerialBuildOptions serial_options;
-    serial_options.record_trace = true;
-    const auto serial = pll::BuildSerial(d.graph, serial_options);
-    util::CumulativeSeries serial_series;
-    for (const auto& stats : serial.trace) {
-      serial_series.Append(stats.labels_added);
-    }
-
-    vtime::SimBuildOptions static_options;
-    static_options.workers = workers;
-    static_options.policy = parallel::AssignmentPolicy::kStatic;
-    static_options.record_trace = true;
+    const auto serial_series =
+        TraceToSeries(build::Run(d.graph, {.record_trace = true}));
+    build::BuildPlan simulated{.mode = build::BuildMode::kSimulated,
+                               .threads = workers,
+                               .policy = parallel::AssignmentPolicy::kStatic,
+                               .record_trace = true};
     const auto static_series =
-        TraceToSeries(BuildSimulated(d.graph, static_options).trace);
-
-    vtime::SimBuildOptions dynamic_options = static_options;
-    dynamic_options.policy = parallel::AssignmentPolicy::kDynamic;
+        TraceToSeries(build::Run(d.graph, simulated));
+    simulated.policy = parallel::AssignmentPolicy::kDynamic;
     const auto dynamic_series =
-        TraceToSeries(BuildSimulated(d.graph, dynamic_options).trace);
+        TraceToSeries(build::Run(d.graph, simulated));
 
     util::Table table({"x-th invocation", "PLL CDF", "static CDF",
                        "dynamic CDF"});

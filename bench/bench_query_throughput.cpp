@@ -85,11 +85,11 @@ int Run(util::ArgParser& args) {
 
   util::WallTimer build_timer;
   const pll::Index index =
-      IndexBuilder()
-          .Mode(BuildMode::kParallel)
-          .Threads(static_cast<std::size_t>(args.GetInt("build-threads")))
-          .Seed(seed)
-          .Build(g);
+      build::Run(g, {.mode = build::BuildMode::kParallel,
+                     .threads = static_cast<std::size_t>(
+                         args.GetInt("build-threads")),
+                     .seed = seed})
+          .artifact.index;
   std::printf("index: LN=%.1f, built in %s\n", index.AvgLabelSize(),
               util::FormatDuration(build_timer.Seconds()).c_str());
 

@@ -11,8 +11,6 @@
 // defaults to --sync=64. EXPERIMENTS.md discusses the regime difference.
 #include "common.hpp"
 #include "util/table.hpp"
-#include "util/timer.hpp"
-#include "vtime/cost_model.hpp"
 
 namespace parapll::bench {
 namespace {
@@ -50,7 +48,7 @@ int Run(int argc, char** argv) {
     PrintDatasetHeader(d);
     // Calibrate virtual units to seconds with one real serial run.
     const double seconds_per_unit =
-        vtime::CalibrateSecondsPerUnit(d.graph, vtime::CostModel{});
+        build::CalibrateSecondsPerUnit(d.graph, vtime::CostModel{});
 
     table.Row().Cell(d.spec.name);
     std::vector<double> dynamic_ln;
@@ -58,12 +56,13 @@ int Run(int argc, char** argv) {
                               parallel::AssignmentPolicy::kDynamic}) {
       double base_makespan = 0.0;
       for (const int q : PaperNodeCounts()) {
-        cluster::ClusterBuildOptions options;
-        options.nodes = static_cast<std::size_t>(q);
-        options.workers_per_node = workers;
-        options.intra_policy = policy;
-        options.sync_count = sync;
-        const auto result = BuildCluster(d.graph, options);
+        const auto result =
+            build::Run(d.graph, {.mode = build::BuildMode::kCluster,
+                                 .threads = workers,
+                                 .nodes = static_cast<std::size_t>(q),
+                                 .sync_count = sync,
+                                 .policy = policy});
+        const double ln = result.artifact.index.AvgLabelSize();
         if (q == 1) {
           base_makespan = result.makespan_units;
           table.Cell(result.makespan_units * seconds_per_unit, 3);
@@ -71,14 +70,13 @@ int Run(int argc, char** argv) {
           table.Cell(base_makespan / result.makespan_units, 2);
         }
         if (policy == parallel::AssignmentPolicy::kDynamic) {
-          dynamic_ln.push_back(result.store.AvgLabelSize());
+          dynamic_ln.push_back(ln);
         }
         std::printf("  policy=%-7s nodes=%d IT=%8.3fs SP=%5.2f LN=%.1f "
                     "(comm %.0f%% of makespan)\n",
                     ToString(policy).c_str(), q,
                     result.makespan_units * seconds_per_unit,
-                    base_makespan / result.makespan_units,
-                    result.store.AvgLabelSize(),
+                    base_makespan / result.makespan_units, ln,
                     100.0 * result.comm_units / result.makespan_units);
       }
     }

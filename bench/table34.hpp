@@ -6,14 +6,12 @@
 // deterministic virtual-time scheduler (src/vtime/) so that a p-worker
 // schedule — and hence SP and LN — is reproducible on this one-core
 // machine; IT(s) for one thread is real wall time and the calibration of
-// virtual units to seconds comes from that same run.
+// virtual units to seconds comes from that same run
+// (build::CalibrateSecondsPerUnit).
 #pragma once
 
 #include "common.hpp"
-#include "pll/serial_pll.hpp"
 #include "util/table.hpp"
-#include "util/timer.hpp"
-#include "vtime/sim_indexer.hpp"
 
 namespace parapll::bench {
 
@@ -50,26 +48,23 @@ inline int RunTable34(parallel::AssignmentPolicy policy, const char* table_id,
     PrintDatasetHeader(d);
 
     // Serial PLL baseline (real wall time) — the "PLL" column.
-    util::WallTimer serial_timer;
-    const auto serial = pll::BuildSerial(d.graph, {});
-    const double serial_seconds = serial_timer.Seconds();
-    const double serial_units = vtime::CostModel{}.Units(serial.totals);
-    const double seconds_per_unit =
-        serial_units > 0 ? serial_seconds / serial_units : 0.0;
+    double serial_seconds = 0.0;
+    const double seconds_per_unit = build::CalibrateSecondsPerUnit(
+        d.graph, vtime::CostModel{}, &serial_seconds);
 
     std::vector<double> makespans;
     std::vector<double> label_sizes;
     for (const int p : threads) {
-      vtime::SimBuildOptions options;
-      options.workers = static_cast<std::size_t>(p);
-      options.policy = policy;
-      const auto result = BuildSimulated(d.graph, options);
+      const auto result =
+          build::Run(d.graph, {.mode = build::BuildMode::kSimulated,
+                               .threads = static_cast<std::size_t>(p),
+                               .policy = policy});
+      const double ln = result.artifact.index.AvgLabelSize();
       makespans.push_back(result.makespan_units);
-      label_sizes.push_back(result.store.AvgLabelSize());
+      label_sizes.push_back(ln);
       std::printf("  threads=%-2d IT=%8.3fs  SP=%5.2f  LN=%.1f\n", p,
                   result.makespan_units * seconds_per_unit,
-                  makespans.front() / result.makespan_units,
-                  result.store.AvgLabelSize());
+                  makespans.front() / result.makespan_units, ln);
     }
 
     table.Row()

@@ -20,14 +20,12 @@ int main() {
   std::printf("AS topology (AS-Relation-like): n=%u m=%zu\n",
               g.NumVertices(), g.NumEdges());
 
-  BuildReport report;
-  const pll::Index index = IndexBuilder()
-                               .Mode(BuildMode::kSimulated)
-                               .Threads(8)
-                               .Build(g, &report);
+  const build::BuildOutcome outcome =
+      build::Run(g, {.mode = build::BuildMode::kSimulated, .threads = 8});
+  const pll::Index& index = outcome.artifact.index;
   std::printf("indexed (8 simulated workers) in %s, avg label size %.1f\n",
-              util::FormatDuration(report.indexing_seconds).c_str(),
-              report.avg_label_size);
+              util::FormatDuration(outcome.wall_seconds).c_str(),
+              index.AvgLabelSize());
 
   // Exact closeness centrality of the 10 highest-degree ASes, through the
   // index: closeness(v) = (reachable - 1) / sum of distances.

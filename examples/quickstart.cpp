@@ -27,16 +27,15 @@ int main(int argc, char** argv) {
 
   // 2. Build the 2-hop index with the intra-node parallel indexer
   //    (dynamic assignment policy, 4 threads).
-  BuildReport report;
-  const pll::Index index = IndexBuilder()
-                               .Mode(BuildMode::kParallel)
-                               .Threads(4)
-                               .Policy(parallel::AssignmentPolicy::kDynamic)
-                               .Build(g, &report);
+  const build::BuildOutcome outcome =
+      build::Run(g, {.mode = build::BuildMode::kParallel,
+                     .threads = 4,
+                     .policy = parallel::AssignmentPolicy::kDynamic});
+  const pll::Index& index = outcome.artifact.index;
   std::printf("indexed in %s: avg label size %.1f, %.2f MB\n",
-              util::FormatDuration(report.indexing_seconds).c_str(),
-              report.avg_label_size,
-              static_cast<double>(report.index_bytes) / (1024.0 * 1024.0));
+              util::FormatDuration(outcome.wall_seconds).c_str(),
+              index.AvgLabelSize(),
+              static_cast<double>(index.MemoryBytes()) / (1024.0 * 1024.0));
 
   // 3. Answer distance queries in O(|L(s)| + |L(t)|).
   util::Rng rng(7);
@@ -58,7 +57,7 @@ int main(int argc, char** argv) {
 
   // 5. Persist and reload.
   const std::string path = "/tmp/parapll_quickstart.index";
-  index.SaveFile(path);
+  pll::WriteIndexFile(index, path, pll::kIndexFormatV1);
   const pll::Index loaded = pll::Index::LoadFile(path);
   std::printf("round-tripped index through %s: %s\n", path.c_str(),
               loaded == index ? "identical" : "MISMATCH");

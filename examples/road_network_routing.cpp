@@ -23,17 +23,16 @@ int main() {
 
   // Road networks reward the cluster mode: indexing cost is the pain
   // point, so spread it over 4 nodes with frequent synchronization.
-  BuildReport report;
-  const pll::Index index = IndexBuilder()
-                               .Mode(BuildMode::kCluster)
-                               .Nodes(4)
-                               .Threads(2)
-                               .SyncCount(32)
-                               .Build(g, &report);
+  const build::BuildOutcome outcome =
+      build::Run(g, {.mode = build::BuildMode::kCluster,
+                     .threads = 2,
+                     .nodes = 4,
+                     .sync_count = 32});
+  const pll::Index& index = outcome.artifact.index;
   std::printf("indexed on a simulated 4-node cluster in %s "
               "(avg label size %.1f)\n",
-              util::FormatDuration(report.indexing_seconds).c_str(),
-              report.avg_label_size);
+              util::FormatDuration(outcome.wall_seconds).c_str(),
+              index.AvgLabelSize());
 
   // A dispatch batch: 200 origin-destination distance lookups.
   util::Rng rng(5);

@@ -50,14 +50,12 @@ int main() {
   std::printf("social graph (Epinions-like): n=%u m=%zu\n", g.NumVertices(),
               g.NumEdges());
 
-  BuildReport report;
-  const pll::Index index = IndexBuilder()
-                               .Mode(BuildMode::kParallel)
-                               .Threads(4)
-                               .Build(g, &report);
+  const build::BuildOutcome outcome =
+      build::Run(g, {.mode = build::BuildMode::kParallel, .threads = 4});
+  const pll::Index& index = outcome.artifact.index;
   std::printf("indexed in %s (avg label size %.1f)\n",
-              util::FormatDuration(report.indexing_seconds).c_str(),
-              report.avg_label_size);
+              util::FormatDuration(outcome.wall_seconds).c_str(),
+              index.AvgLabelSize());
 
   util::Rng rng(3);
   const auto user = static_cast<graph::VertexId>(rng.Below(g.NumVertices()));

@@ -1,6 +1,5 @@
 #include "build/artifact.hpp"
 
-#include <cstdio>
 #include <stdexcept>
 #include <string>
 
@@ -16,19 +15,7 @@ void IndexArtifact::Save(const std::string& path,
     throw std::runtime_error("index artifact is missing its manifest");
   }
   index.Manifest().Validate();
-  const std::string tmp = path + ".tmp";
-  if (format_version == pll::kIndexFormatV2) {
-    pll::WriteIndexV2File(index, tmp);
-  } else if (format_version == pll::kIndexFormatV1) {
-    index.SaveFile(tmp);
-  } else {
-    throw std::runtime_error("unknown index format version " +
-                             std::to_string(format_version));
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("cannot rename " + tmp + " to " + path);
-  }
+  pll::WriteIndexFile(index, path, format_version);
 }
 
 IndexArtifact IndexArtifact::Load(const std::string& path) {

@@ -7,8 +7,9 @@
 // cursor distinguishes them — so `--resume` and `query --index` read one
 // kind of file.
 //
-// Writes are atomic (tmp + rename in the target directory), so a crash or
-// signal mid-write leaves the previous artifact intact. Loads validate
+// Writes go through pll::WriteIndexFile, which is atomic (tmp + rename in
+// the target directory), so a crash or signal mid-write leaves the
+// previous artifact intact. Loads validate
 // with the same rigor as the label-store deserializer and can additionally
 // be pinned to a graph: fingerprint and vertex/edge counts must match.
 #pragma once
@@ -33,11 +34,11 @@ struct IndexArtifact {
     return !index.Manifest().IsComplete();
   }
 
-  // Atomic write: serializes to `path + ".tmp"`, then renames over
-  // `path`. `format_version` picks the container: 1 is the streamed
-  // layout (Index::Save), 2 the mmap-able format (pll/format_v2.hpp);
-  // both load through the same Load() below. Throws std::runtime_error
-  // on I/O failure or an unknown version.
+  // Atomic write (pll::WriteIndexFile). `format_version` picks the
+  // container: 1 is the streamed layout (Index::Save), 2 the mmap-able
+  // format (pll/format_v2.hpp); both load through the same Load() below.
+  // Throws std::runtime_error on a missing manifest, I/O failure or an
+  // unknown version.
   void Save(const std::string& path,
             std::uint32_t format_version = pll::kIndexFormatV1) const;
 

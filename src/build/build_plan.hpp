@@ -34,6 +34,9 @@ enum class BuildMode {
 
 std::string ToString(BuildMode mode);
 
+// An aggregate: designated initializers name only the knobs a build
+// changes, e.g. {.mode = BuildMode::kParallel, .threads = 8}. Every member
+// has a default member initializer, so omitted ones keep their defaults.
 struct BuildPlan {
   BuildMode mode = BuildMode::kSerial;
   // Worker threads (kParallel), simulated workers (kSimulated), or
@@ -45,8 +48,8 @@ struct BuildPlan {
   pll::OrderingPolicy ordering = pll::OrderingPolicy::kDegree;
   parallel::LockMode lock_mode = parallel::LockMode::kStriped;
   cluster::OwnershipPolicy ownership = cluster::OwnershipPolicy::kRoundRobin;
-  vtime::CostModel cost;
-  cluster::CommModel comm;
+  vtime::CostModel cost{};
+  cluster::CommModel comm{};
   std::uint64_t seed = 0;
   bool record_trace = false;  // per-root PruneStats in completion order
 
@@ -55,11 +58,11 @@ struct BuildPlan {
   // checkpoint_every finished roots (0 disables periodic snapshots; a
   // non-empty dir alone still enables signal-triggered ones).
   graph::VertexId checkpoint_every = 0;
-  std::string checkpoint_dir;
+  std::string checkpoint_dir{};
   // Continue a build from the checkpoint in this directory. The plan's
   // ordering/seed are ignored in favor of the checkpointed order, so the
   // resumed run works in the identical rank space.
-  std::string resume_dir;
+  std::string resume_dir{};
   // Test/ops hook: stop claiming new roots after this many have finished
   // (0 = run to completion). The build ends cleanly with
   // roots_completed < n — exactly what an interrupted run looks like.

@@ -33,7 +33,7 @@ void RecordBuildMetrics(const BuildOutcome& outcome) {
   registry.GetGauge("indexer.avg_utilization").Set(outcome.AvgUtilization());
   registry.GetCounter("indexer.builds").Add(1);
   for (std::size_t t = 0; t < outcome.reports.size(); ++t) {
-    const parallel::ThreadReport& report = outcome.reports[t];
+    const ThreadReport& report = outcome.reports[t];
     const std::string prefix = "indexer.thread." + std::to_string(t);
     registry.GetGauge(prefix + ".busy_seconds").Set(report.busy_seconds);
     registry.GetGauge(prefix + ".setup_seconds").Set(report.setup_seconds);
@@ -98,6 +98,9 @@ void FillThreadedOutcome(const ThreadedDrain& drain,
   manifest.roots_completed = drain.frontier;
 }
 
+// Serial weighted PLL (paper §4.1): the baseline every ParaPLL variant is
+// measured against, and the correctness reference for parallel runs. It
+// is the one-worker case of the threaded root loop.
 pll::LabelStore RunSerial(const BuildPlan& plan, BuildContext& context,
                           pll::BuildManifest& manifest,
                           BuildOutcome& outcome) {
@@ -113,6 +116,12 @@ pll::LabelStore RunSerial(const BuildPlan& plan, BuildContext& context,
              : pll::LabelStore::FromRows(labels.SnapshotRows(drain.frontier));
 }
 
+// Intra-node ParaPLL (paper §4.3–4.4): the task manager hands roots in
+// descending-degree rank order to p real threads under the static or
+// dynamic policy, and every worker runs Pruned Dijkstra against the shared
+// ConcurrentLabelStore. Relaxed label visibility can add redundant labels
+// but never wrong ones (paper Proposition 1); `pll::VerifySampled` is the
+// test suite's witness.
 pll::LabelStore RunParallel(const BuildPlan& plan, BuildContext& context,
                             pll::BuildManifest& manifest,
                             BuildOutcome& outcome) {
@@ -154,6 +163,20 @@ pll::LabelStore RunParallel(const BuildPlan& plan, BuildContext& context,
   return store;
 }
 
+// Deterministic virtual-time simulation of intra-node ParaPLL: p workers
+// on one core, each with a virtual clock. Roots are placed on workers by
+// the static or dynamic policy and execute in global start-time order;
+// label visibility across (virtually) overlapping tasks is governed by
+// publication timestamps (vtime/timestamped_labels.hpp). The result is a
+// bit-reproducible replay of a parallel schedule, from which the paper's
+// SP (makespan speedup) and LN (label inflation) columns are derived.
+//
+// One modeling note: a simulated task only sees entries from tasks that
+// *started* earlier (entries stamped after its probes are filtered, but a
+// later-starting overlapping task's early entries are invisible because it
+// has not executed yet). Real runs may see slightly more, so simulated
+// label sizes are a mild upper bound — the conservative side of the
+// paper's Tables 3–4.
 pll::LabelStore RunSimulated(const BuildPlan& plan,
                              const BuildContext& context,
                              BuildOutcome& outcome) {
@@ -399,6 +422,17 @@ BuildOutcome Run(const graph::Graph& g, const BuildPlan& plan) {
   index.SetManifest(std::move(manifest));
   outcome.artifact = IndexArtifact{std::move(index)};
   return outcome;
+}
+
+double CalibrateSecondsPerUnit(const graph::Graph& g,
+                               const vtime::CostModel& model,
+                               double* serial_seconds) {
+  const BuildOutcome serial = Run(g, {});
+  if (serial_seconds != nullptr) {
+    *serial_seconds = serial.wall_seconds;
+  }
+  const double units = model.Units(serial.totals);
+  return units > 0.0 ? serial.wall_seconds / units : 0.0;
 }
 
 }  // namespace parapll::build

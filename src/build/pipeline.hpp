@@ -1,11 +1,12 @@
 // The unified build pipeline: BuildPlan in, IndexArtifact out.
 //
-// Run() resolves the plan once (ordering + rank graph, or checkpoint
-// recovery on resume), routes every mode through the shared root-loop
-// kernel in root_loop.hpp, and stamps the result with a provenance
-// manifest. The legacy per-mode entry points (pll::BuildSerial,
-// parallel::BuildParallel, vtime::BuildSimulated, cluster::BuildCluster)
-// are thin wrappers over this function — see build/compat.cpp.
+// Run() is the one way to build an index. It resolves the plan once
+// (ordering + rank graph, or checkpoint recovery on resume), routes every
+// mode through the shared root-loop kernel in root_loop.hpp, and stamps
+// the result with a provenance manifest. BuildPlan is an aggregate, so a
+// call reads like
+//
+//   build::Run(g, {.mode = build::BuildMode::kParallel, .threads = 8})
 #pragma once
 
 #include <cstdint>
@@ -14,9 +15,32 @@
 
 #include "build/artifact.hpp"
 #include "build/build_plan.hpp"
-#include "parapll/parallel_indexer.hpp"
+#include "vtime/cost_model.hpp"
 
 namespace parapll::build {
+
+// One worker's load-balance picture over a threaded build.
+struct ThreadReport {
+  std::size_t roots_processed = 0;
+  double busy_seconds = 0.0;  // time spent inside Pruned Dijkstra
+  // Time constructing the O(|V|) per-thread scratch arrays before the
+  // first root. Booked separately: it is neither useful indexing work nor
+  // queue wait, so folding it into idle_seconds would skew the Fig. 8
+  // utilization numbers on large graphs.
+  double setup_seconds = 0.0;
+  // Root-loop lifetime minus busy time: queue wait plus scheduling
+  // overhead. Static vs dynamic load imbalance shows up here directly.
+  double idle_seconds = 0.0;
+
+  [[nodiscard]] double WallSeconds() const {
+    return busy_seconds + idle_seconds;
+  }
+  // Busy fraction of this worker's lifetime, in [0, 1].
+  [[nodiscard]] double Utilization() const {
+    const double wall = WallSeconds();
+    return wall > 0.0 ? busy_seconds / wall : 0.0;
+  }
+};
 
 struct BuildOutcome {
   // The built index with its manifest populated. For a halted build
@@ -28,14 +52,16 @@ struct BuildOutcome {
   // the manifest carries the combined view).
   pll::PruneStats totals;
   graph::VertexId roots_finished = 0;
-  double wall_seconds = 0.0;
+  double wall_seconds = 0.0;  // the root loop's, without the ordering
   bool complete = true;  // false when the build halted at a frontier
 
-  // Per-root (rank, stats) in completion order; empty unless traced.
+  // Per-root (rank, stats) in completion order; empty unless traced. One
+  // worker (kSerial) completes roots in rank order; kSimulated records
+  // its virtual start order.
   std::vector<std::pair<graph::VertexId, pll::PruneStats>> trace;
 
   // kSerial / kParallel: per-worker load-balance reports.
-  std::vector<parallel::ThreadReport> reports;
+  std::vector<ThreadReport> reports;
 
   // kSimulated / kCluster: virtual-time accounting.
   double makespan_units = 0.0;
@@ -50,12 +76,13 @@ struct BuildOutcome {
   std::size_t sync_rounds = 0;
   std::size_t entries_exchanged = 0;
 
+  // Mean per-worker Utilization(); 1.0 means perfectly balanced workers.
   [[nodiscard]] double AvgUtilization() const {
     if (reports.empty()) {
       return 0.0;
     }
     double total = 0.0;
-    for (const parallel::ThreadReport& report : reports) {
+    for (const ThreadReport& report : reports) {
       total += report.Utilization();
     }
     return total / static_cast<double>(reports.size());
@@ -65,5 +92,14 @@ struct BuildOutcome {
 // Builds an index per `plan`. Throws std::runtime_error on an invalid
 // plan or a failed resume (missing/corrupt/mismatched checkpoint).
 BuildOutcome Run(const graph::Graph& g, const BuildPlan& plan);
+
+// Measures seconds per virtual unit by a serial build of `g`: its root
+// loop's wall time over the units `model` charges for the same work.
+// Multiplying a simulated makespan by this factor expresses the schedule
+// in calibrated seconds. `serial_seconds`, when non-null, receives that
+// wall time. Returns 0 for a build that costs no units.
+double CalibrateSecondsPerUnit(const graph::Graph& g,
+                               const vtime::CostModel& model,
+                               double* serial_seconds = nullptr);
 
 }  // namespace parapll::build

@@ -31,12 +31,12 @@
 #include <vector>
 
 #include "build/checkpoint.hpp"
+#include "build/pipeline.hpp"
 #include "build/root_scheduler.hpp"
 #include "graph/graph.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
-#include "parapll/parallel_indexer.hpp"
 #include "pll/pruned_dijkstra.hpp"
 #include "util/check.hpp"
 #include "util/mutex.hpp"
@@ -59,7 +59,7 @@ struct RootLoopOutcome {
   pll::PruneStats totals;
   // (root rank, stats) in global completion order; empty unless traced.
   std::vector<std::pair<graph::VertexId, pll::PruneStats>> trace;
-  std::vector<parallel::ThreadReport> reports;  // one per worker
+  std::vector<ThreadReport> reports;  // one per worker
   double wall_seconds = 0.0;
   graph::VertexId roots_finished = 0;
 };
@@ -229,7 +229,7 @@ RootLoopOutcome DrainRoots(const graph::Graph& rank_graph, Labels& labels,
   for (const pll::PruneStats& stats : totals) {
     outcome.totals += stats;
   }
-  for (const parallel::ThreadReport& report : outcome.reports) {
+  for (const ThreadReport& report : outcome.reports) {
     outcome.roots_finished +=
         static_cast<graph::VertexId>(report.roots_processed);
   }

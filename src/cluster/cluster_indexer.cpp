@@ -1,6 +1,5 @@
 // Cluster-mode helpers: cost model, root ownership, and epoch boundaries.
-// The build loop itself lives in the unified pipeline (build/pipeline.cpp);
-// cluster::BuildCluster is a compat wrapper in build/compat.cpp.
+// The build loop itself lives in the unified pipeline (build/pipeline.cpp).
 #include "cluster/cluster_indexer.hpp"
 
 #include <algorithm>

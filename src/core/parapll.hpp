@@ -3,11 +3,9 @@
 //   #include "core/parapll.hpp"
 //
 //   auto g = parapll::graph::BarabasiAlbert(...);
-//   auto index = parapll::IndexBuilder()
-//                    .Mode(parapll::BuildMode::kParallel)
-//                    .Threads(8)
-//                    .Build(g);
-//   auto d = index.Query(s, t);
+//   auto outcome = parapll::build::Run(
+//       g, {.mode = parapll::build::BuildMode::kParallel, .threads = 8});
+//   auto d = outcome.artifact.index.Query(s, t);
 #pragma once
 
 #include "baseline/bfs.hpp"
@@ -16,9 +14,9 @@
 #include "baseline/floyd_warshall.hpp"
 #include "baseline/landmark_estimator.hpp"
 #include "baseline/oracle.hpp"
+#include "build/pipeline.hpp"
 #include "cluster/cluster_indexer.hpp"
 #include "cluster/comm.hpp"
-#include "core/builder.hpp"
 #include "graph/components.hpp"
 #include "graph/datasets.hpp"
 #include "graph/degree.hpp"
@@ -29,17 +27,14 @@
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
-#include "parapll/parallel_indexer.hpp"
 #include "pll/compact_io.hpp"
 #include "pll/dynamic_index.hpp"
 #include "pll/index.hpp"
 #include "pll/knn_engine.hpp"
 #include "pll/path_index.hpp"
-#include "pll/serial_pll.hpp"
 #include "pll/verify.hpp"
 #include "query/query_engine.hpp"
 #include "query/slow_query_log.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
-#include "vtime/sim_indexer.hpp"

@@ -69,13 +69,17 @@ std::string ContextIdToString(std::uint64_t id) {
 namespace {
 
 // One captured stack, written by exactly one thread's signal handler.
+// No member initializers: the pool is allocated uninitialized, so Start()
+// does not write (and make resident) every slot up front. The drain reads
+// only slots in [tail, head), and only their first `depth` frames, all of
+// which the handler wrote.
 struct RawSample {
   static constexpr int kMaxFrames = 32;
 
-  std::uint64_t mono_ns = 0;
-  std::uint64_t context = 0;
-  std::uint32_t depth = 0;
-  void* frames[kMaxFrames] = {};
+  std::uint64_t mono_ns;
+  std::uint64_t context;
+  std::uint32_t depth;
+  void* frames[kMaxFrames];
 };
 
 // Per-thread SPSC ring: the owning thread's handler is the only producer;
@@ -312,8 +316,8 @@ void Profiler::Start(ProfilerOptions options) {
 
   state.options = options;
   state.rings = std::make_unique<SampleRing[]>(options.max_threads);
-  state.slab = std::make_unique<RawSample[]>(options.max_threads *
-                                             options.ring_capacity);
+  state.slab = std::make_unique_for_overwrite<RawSample[]>(
+      options.max_threads * options.ring_capacity);
   for (std::size_t i = 0; i < options.max_threads; ++i) {
     state.rings[i].slots = state.slab.get() + i * options.ring_capacity;
     state.rings[i].capacity =

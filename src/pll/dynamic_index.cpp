@@ -3,12 +3,26 @@
 #include <algorithm>
 #include <queue>
 
+#include "pll/ordering.hpp"
 #include "util/check.hpp"
 
-// DynamicIndex::Build lives in build/compat.cpp: it seeds from BuildSerial,
-// which now runs on the unified pipeline above this library in link order.
-
 namespace parapll::pll {
+
+DynamicIndex::DynamicIndex(const graph::Graph& g, const Index& index)
+    : rows_(index.Store().ToRows()),
+      order_(index.Order()),
+      rank_of_(InvertOrder(order_)) {
+  PARAPLL_CHECK(g.NumVertices() == index.NumVertices());
+  const graph::VertexId n = g.NumVertices();
+  const graph::Graph rank_graph = ToRankSpace(g, order_);
+  adjacency_.resize(n);
+  for (graph::VertexId v = 0; v < n; ++v) {
+    const auto nbrs = rank_graph.Neighbors(v);
+    adjacency_[v].assign(nbrs.begin(), nbrs.end());
+  }
+  scratch_dist_.assign(n, graph::kInfiniteDistance);
+  scratch_root_.assign(n, graph::kInfiniteDistance);
+}
 
 graph::Distance DynamicIndex::QueryRanks(graph::VertexId a,
                                          graph::VertexId b) const {

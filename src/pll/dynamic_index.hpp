@@ -14,8 +14,8 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "pll/index.hpp"
 #include "pll/label_store.hpp"
-#include "pll/ordering.hpp"
 
 namespace parapll::pll {
 
@@ -29,10 +29,10 @@ class DynamicIndex {
  public:
   DynamicIndex() = default;
 
-  // Builds the initial index with serial weighted PLL.
-  static DynamicIndex Build(const graph::Graph& g,
-                            OrderingPolicy ordering = OrderingPolicy::kDegree,
-                            std::uint64_t seed = 0);
+  // Starts from `index`, a built index of `g` (typically a serial
+  // build::Run): copies its rows and order, and keeps `g`'s adjacency in
+  // rank space for later insertions.
+  DynamicIndex(const graph::Graph& g, const Index& index);
 
   // Exact distance between original vertex ids on the *current* graph.
   [[nodiscard]] graph::Distance Query(graph::VertexId s,

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
+#include "pll/compact_io.hpp"
 #include "pll/ordering.hpp"
 
 namespace parapll::pll {
@@ -189,12 +191,40 @@ void WriteIndexV2(const Index& index, std::ostream& out) {
   }
 }
 
-void WriteIndexV2File(const Index& index, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    throw std::runtime_error("cannot open " + path);
+void WriteIndexFile(const Index& index, const std::string& path,
+                    std::uint32_t format_version, bool compact) {
+  if (format_version != kIndexFormatV1 && format_version != kIndexFormatV2) {
+    throw std::runtime_error("unknown index format version " +
+                             std::to_string(format_version));
   }
-  WriteIndexV2(index, out);
+  if (compact && format_version != kIndexFormatV1) {
+    throw std::runtime_error("the compact container is format 1 only");
+  }
+  const std::string tmp = path + ".tmp";
+  try {
+    std::ofstream out(tmp, std::ios::binary);
+    if (!out) {
+      throw std::runtime_error("cannot open " + tmp);
+    }
+    if (compact) {
+      WriteCompactIndex(index, out);
+    } else if (format_version == kIndexFormatV2) {
+      WriteIndexV2(index, out);
+    } else {
+      index.Save(out);
+    }
+    out.close();
+    if (!out) {
+      throw std::runtime_error("cannot write " + tmp);
+    }
+  } catch (...) {
+    std::remove(tmp.c_str());
+    throw;
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    throw std::runtime_error("cannot rename " + tmp + " to " + path);
+  }
 }
 
 // parapll-lint: begin-untrusted-decode

@@ -81,9 +81,17 @@ bool PeekV2Magic(std::istream& in);
 // format_version forced to 2. Throws std::runtime_error on I/O failure
 // or when any label row uses the reserved sentinel hub.
 void WriteIndexV2(const Index& index, std::ostream& out);
-// Direct (non-atomic) file write; build/artifact.hpp wraps this in the
-// tmp + rename publish step.
-void WriteIndexV2File(const Index& index, const std::string& path);
+
+// The one writer of index files. Writes `index` to `path` in container
+// `format_version` — kIndexFormatV1 (Index::Save's stream) or
+// kIndexFormatV2 (the layout above) — or, with `compact`, in the varint
+// container of compact_io.hpp (format 1 only). The bytes go to
+// `path + ".tmp"`, which is then renamed over `path`: a process that has
+// the old file open or mapped keeps reading the old bytes, and a crash
+// mid-write leaves the old file intact. Throws std::runtime_error on I/O
+// failure or an unknown format, and leaves no temp file behind.
+void WriteIndexFile(const Index& index, const std::string& path,
+                    std::uint32_t format_version, bool compact = false);
 
 // Heap loader: reads a v2 stream into an ordinary Index (LabelStore on
 // the heap), with full untrusted-input validation. v1 callers that can

@@ -91,14 +91,6 @@ Index Index::Load(std::istream& in) {
 }
 // parapll-lint: end-untrusted-decode
 
-void Index::SaveFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    throw std::runtime_error("cannot open " + path);
-  }
-  Save(out);
-}
-
 Index Index::LoadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {

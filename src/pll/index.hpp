@@ -50,10 +50,11 @@ class Index {
 
   // Binary round-trip: Save |> Load == *this. Save writes the manifest in
   // front of the store; Load accepts both that layout and the legacy
-  // manifest-less one (default manifest attached).
+  // manifest-less one (default manifest attached). Files are written by
+  // pll::WriteIndexFile (format_v2.hpp); LoadFile reads any of them but
+  // the compact container.
   void Save(std::ostream& out) const;
   static Index Load(std::istream& in);
-  void SaveFile(const std::string& path) const;
   static Index LoadFile(const std::string& path);
 
   friend bool operator==(const Index&, const Index&) = default;

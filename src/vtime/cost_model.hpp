@@ -5,8 +5,8 @@
 // Pruned Dijkstra a deterministic cost in abstract "units" derived from
 // its operation counts (heap ops, relaxations, pruning probes, appends) —
 // the same quantities that dominate the paper's O(wm log²n + w²n log²n)
-// indexing bound. A calibration run maps units to seconds so tables can
-// report IT(s) on the paper's scale.
+// indexing bound. A calibration run (build::CalibrateSecondsPerUnit) maps
+// units to seconds so tables can report IT(s) on the paper's scale.
 #pragma once
 
 #include "pll/pruned_dijkstra.hpp"
@@ -24,10 +24,5 @@ struct CostModel {
   // Total virtual units for one root's PruneStats.
   [[nodiscard]] double Units(const pll::PruneStats& stats) const;
 };
-
-// Measures seconds-per-unit by running serial PLL on `g` and dividing the
-// measured wall time by the modeled units. Multiplying makespans by this
-// factor expresses simulated schedules in calibrated seconds.
-double CalibrateSecondsPerUnit(const graph::Graph& g, const CostModel& model);
 
 }  // namespace parapll::vtime

@@ -14,7 +14,6 @@
 
 #include "build/build_plan.hpp"
 #include "build/root_scheduler.hpp"
-#include "core/builder.hpp"
 #include "graph/generators.hpp"
 #include "pll/verify.hpp"
 
@@ -189,18 +188,16 @@ TEST(RootSchedulers, EachRootClaimedExactlyOnce) {
   }
 }
 
-// The public IndexBuilder facade routes through the same pipeline and
-// surfaces the build cursor in its report.
-TEST(Pipeline, IndexBuilderReportsCompletion) {
+// Run surfaces the build cursor: a complete build's manifest covers every
+// root.
+TEST(Pipeline, RunReportsCompletion) {
   const graph::Graph g =
       graph::BarabasiAlbert(70, 2, {graph::WeightModel::kUniform, 15}, 41);
-  BuildReport report;
-  const pll::Index index = IndexBuilder()
-                               .Mode(BuildMode::kParallel)
-                               .Threads(3)
-                               .Build(g, &report);
-  EXPECT_TRUE(report.complete);
-  EXPECT_EQ(report.roots_completed, g.NumVertices());
+  const BuildOutcome outcome =
+      build::Run(g, {.mode = BuildMode::kParallel, .threads = 3});
+  const pll::Index& index = outcome.artifact.index;
+  EXPECT_TRUE(outcome.complete);
+  EXPECT_EQ(index.Manifest().roots_completed, g.NumVertices());
   EXPECT_TRUE(pll::VerifySampled(g, index, 200, 5).Ok());
   EXPECT_EQ(index.Manifest().mode, "parallel");
 }

@@ -1,11 +1,12 @@
-#include "core/builder.hpp"
-
+// build::Run as the public entry point: every mode through one call, and
+// the plan's knobs reach the build.
 #include <gtest/gtest.h>
 
+#include "build/pipeline.hpp"
 #include "graph/generators.hpp"
 #include "pll/verify.hpp"
 
-namespace parapll {
+namespace parapll::build {
 namespace {
 
 using graph::Graph;
@@ -17,75 +18,55 @@ Graph TestGraph(std::uint64_t seed) {
       100, 3, WeightOptions{WeightModel::kUniform, 10}, seed);
 }
 
-TEST(IndexBuilder, EveryModeProducesExactIndex) {
+TEST(BuildRun, EveryModeProducesExactIndex) {
   const Graph g = TestGraph(91);
   for (const BuildMode mode :
        {BuildMode::kSerial, BuildMode::kParallel, BuildMode::kSimulated,
         BuildMode::kCluster}) {
-    BuildReport report;
-    const pll::Index index = IndexBuilder()
-                                 .Mode(mode)
-                                 .Threads(3)
-                                 .Nodes(2)
-                                 .SyncCount(2)
-                                 .Build(g, &report);
+    const BuildOutcome outcome = build::Run(
+        g, {.mode = mode, .threads = 3, .nodes = 2, .sync_count = 2});
+    const pll::Index& index = outcome.artifact.index;
     const auto verdict = pll::VerifyExhaustive(g, index);
     EXPECT_TRUE(verdict.Ok()) << ToString(mode) << ": " << verdict.ToString();
-    EXPECT_EQ(report.mode, mode);
-    EXPECT_GT(report.avg_label_size, 0.0);
-    EXPECT_GT(report.total_label_entries, 0u);
-    EXPECT_GT(report.index_bytes, 0u);
-    EXPECT_GT(report.totals.labels_added, 0u);
+    EXPECT_EQ(index.Manifest().mode, ToString(mode));
+    EXPECT_GT(index.AvgLabelSize(), 0.0);
+    EXPECT_GT(index.TotalEntries(), 0u);
+    EXPECT_GT(index.MemoryBytes(), 0u);
+    EXPECT_GT(outcome.totals.labels_added, 0u);
   }
 }
 
-TEST(IndexBuilder, ReportIsOptional) {
+TEST(BuildRun, DefaultPlanIsASerialBuild) {
   const Graph g = TestGraph(92);
-  const pll::Index index = IndexBuilder().Build(g);
+  const pll::Index index = build::Run(g, {}).artifact.index;
   EXPECT_EQ(index.NumVertices(), g.NumVertices());
+  EXPECT_EQ(index.Manifest().mode, "serial");
 }
 
-TEST(IndexBuilder, SimulatedReportsMakespanBelowTotal) {
+TEST(BuildRun, SimulatedReportsMakespanBelowTotal) {
   const Graph g = TestGraph(93);
-  BuildReport report;
-  (void)IndexBuilder()
-      .Mode(BuildMode::kSimulated)
-      .Threads(4)
-      .Build(g, &report);
-  EXPECT_GT(report.makespan_units, 0.0);
-  EXPECT_GT(report.total_units, report.makespan_units);
+  const BuildOutcome outcome =
+      build::Run(g, {.mode = BuildMode::kSimulated, .threads = 4});
+  EXPECT_GT(outcome.makespan_units, 0.0);
+  EXPECT_GT(outcome.total_units, outcome.makespan_units);
 }
 
-TEST(IndexBuilder, SerialMakespanEqualsTotalUnits) {
-  const Graph g = TestGraph(94);
-  BuildReport report;
-  (void)IndexBuilder().Mode(BuildMode::kSerial).Build(g, &report);
-  EXPECT_DOUBLE_EQ(report.makespan_units, report.total_units);
-}
-
-TEST(IndexBuilder, ModeNamesAreStable) {
+TEST(BuildRun, ModeNamesAreStable) {
   EXPECT_EQ(ToString(BuildMode::kSerial), "serial");
   EXPECT_EQ(ToString(BuildMode::kParallel), "parallel");
   EXPECT_EQ(ToString(BuildMode::kSimulated), "simulated");
   EXPECT_EQ(ToString(BuildMode::kCluster), "cluster");
 }
 
-TEST(IndexBuilder, OrderingAndPolicyKnobsAreHonored) {
+TEST(BuildRun, OrderingAndPolicyKnobsAreHonored) {
   const Graph g = TestGraph(95);
-  BuildReport degree_report;
-  (void)IndexBuilder()
-      .Mode(BuildMode::kSerial)
-      .Ordering(pll::OrderingPolicy::kDegree)
-      .Build(g, &degree_report);
-  BuildReport random_report;
-  (void)IndexBuilder()
-      .Mode(BuildMode::kSerial)
-      .Ordering(pll::OrderingPolicy::kRandom)
-      .Seed(123)
-      .Build(g, &random_report);
-  EXPECT_NE(degree_report.total_label_entries,
-            random_report.total_label_entries);
+  const BuildOutcome by_degree =
+      build::Run(g, {.ordering = pll::OrderingPolicy::kDegree});
+  const BuildOutcome by_random =
+      build::Run(g, {.ordering = pll::OrderingPolicy::kRandom, .seed = 123});
+  EXPECT_NE(by_degree.artifact.index.TotalEntries(),
+            by_random.artifact.index.TotalEntries());
 }
 
 }  // namespace
-}  // namespace parapll
+}  // namespace parapll::build

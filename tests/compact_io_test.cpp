@@ -5,7 +5,7 @@
 #include <sstream>
 
 #include "graph/generators.hpp"
-#include "pll/serial_pll.hpp"
+#include "build/pipeline.hpp"
 
 namespace parapll::pll {
 namespace {
@@ -44,18 +44,19 @@ TEST(Varint, TruncationThrows) {
 TEST(CompactIo, StoreRoundTrip) {
   const auto g = graph::BarabasiAlbert(
       150, 3, WeightOptions{WeightModel::kUniform, 100}, 5);
-  const auto result = BuildSerial(g, {});
+  const Index index = build::Run(g, {}).artifact.index;
   std::stringstream buffer;
-  WriteCompact(result.store, buffer);
+  WriteCompact(index.Store(), buffer);
   const LabelStore loaded = ReadCompactStore(buffer);
-  EXPECT_EQ(loaded, result.store);
+  EXPECT_EQ(loaded, index.Store());
 }
 
 TEST(CompactIo, IndexRoundTripQueriesMatch) {
   const auto g = graph::RoadGrid(
       8, 8, 0.8, 3, WeightOptions{WeightModel::kRoadLike, 100}, 6);
-  auto result = BuildSerial(g, {});
-  const Index index(std::move(result.store), std::move(result.order));
+  // The compact container carries no manifest; compare rows and order.
+  const Index built = build::Run(g, {}).artifact.index;
+  const Index index(built.Store(), built.Order());
   std::stringstream buffer;
   WriteCompactIndex(index, buffer);
   const Index loaded = ReadCompactIndex(buffer);
@@ -78,21 +79,21 @@ TEST(CompactIo, BadMagicThrows) {
 TEST(CompactIo, CompactIsSubstantiallySmaller) {
   const auto g = graph::BarabasiAlbert(
       300, 4, WeightOptions{WeightModel::kUniform, 100}, 7);
-  const auto result = BuildSerial(g, {});
+  const Index index = build::Run(g, {}).artifact.index;
   std::stringstream fixed_buffer;
-  result.store.Serialize(fixed_buffer);
+  index.Store().Serialize(fixed_buffer);
   const std::size_t fixed_size = fixed_buffer.str().size();
-  const std::size_t compact_size = CompactSizeBytes(result.store);
+  const std::size_t compact_size = CompactSizeBytes(index.Store());
   EXPECT_LT(compact_size * 3, fixed_size);
 }
 
 TEST(CompactIo, SizePredictionMatchesActualBytes) {
   const auto g = graph::ErdosRenyi(
       100, 250, WeightOptions{WeightModel::kUniform, 50}, 8);
-  const auto result = BuildSerial(g, {});
+  const Index index = build::Run(g, {}).artifact.index;
   std::stringstream buffer;
-  WriteCompact(result.store, buffer);
-  EXPECT_EQ(buffer.str().size(), CompactSizeBytes(result.store));
+  WriteCompact(index.Store(), buffer);
+  EXPECT_EQ(buffer.str().size(), CompactSizeBytes(index.Store()));
 }
 
 }  // namespace

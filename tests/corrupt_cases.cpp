@@ -7,7 +7,6 @@
 #include "graph/generators.hpp"
 #include "pll/compact_io.hpp"
 #include "pll/format_v2.hpp"
-#include "pll/serial_pll.hpp"
 #include "serve/frame.hpp"
 
 namespace parapll::corpus {
@@ -15,8 +14,9 @@ namespace parapll::corpus {
 pll::Index MakeIndex() {
   const graph::Graph g =
       graph::ErdosRenyi(20, 50, {graph::WeightModel::kUniform, 10}, 42);
-  pll::SerialBuildResult result = pll::BuildSerial(g, {});
-  return pll::Index(std::move(result.store), std::move(result.order));
+  // Rebuilt without the manifest: the legacy manifest-less layout.
+  const pll::Index built = build::Run(g, {}).artifact.index;
+  return pll::Index(built.Store(), built.Order());
 }
 
 pll::Index MakeManifestedIndex() {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "build/pipeline.hpp"
 #include "graph/generators.hpp"
 
 namespace parapll::vtime {
@@ -40,9 +41,12 @@ TEST(CostModel, CalibrationReturnsPositiveFactor) {
   const graph::Graph g = graph::BarabasiAlbert(
       200, 3, graph::WeightOptions{graph::WeightModel::kUniform, 10}, 81);
   const CostModel model;
-  const double seconds_per_unit = CalibrateSecondsPerUnit(g, model);
+  double serial_seconds = 0.0;
+  const double seconds_per_unit =
+      build::CalibrateSecondsPerUnit(g, model, &serial_seconds);
   EXPECT_GT(seconds_per_unit, 0.0);
   EXPECT_LT(seconds_per_unit, 1.0);  // a unit is far below a second
+  EXPECT_GT(serial_seconds, 0.0);
 }
 
 }  // namespace

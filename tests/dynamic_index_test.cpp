@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/dijkstra.hpp"
+#include "build/pipeline.hpp"
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
 
@@ -17,9 +18,14 @@ using graph::WeightOptions;
 
 const WeightOptions kUniform{WeightModel::kUniform, 10};
 
+// The initial index: a serial build of g.
+DynamicIndex BuildDynamic(const Graph& g) {
+  return DynamicIndex(g, build::Run(g, {}).artifact.index);
+}
+
 TEST(DynamicIndex, FreshBuildAnswersExactly) {
   const Graph g = graph::BarabasiAlbert(80, 3, kUniform, 1);
-  const DynamicIndex index = DynamicIndex::Build(g);
+  const DynamicIndex index = BuildDynamic(g);
   for (VertexId s = 0; s < g.NumVertices(); s += 7) {
     const auto truth = baseline::DijkstraAll(g, s);
     for (VertexId t = 0; t < g.NumVertices(); ++t) {
@@ -31,7 +37,7 @@ TEST(DynamicIndex, FreshBuildAnswersExactly) {
 TEST(DynamicIndex, InsertShortcutUpdatesDistance) {
   // Path 0-1-2-3-4, unit weights; adding 0-4 weight 1 collapses d(0,4).
   const Graph g = graph::Path(5, WeightOptions{WeightModel::kUnit, 1}, 1);
-  DynamicIndex index = DynamicIndex::Build(g);
+  DynamicIndex index = BuildDynamic(g);
   EXPECT_EQ(index.Query(0, 4), 4u);
   index.AddEdge(0, 4, 1);
   EXPECT_EQ(index.Query(0, 4), 1u);
@@ -42,7 +48,7 @@ TEST(DynamicIndex, InsertShortcutUpdatesDistance) {
 TEST(DynamicIndex, InsertConnectsComponents) {
   const std::vector<Edge> edges = {{0, 1, 2}, {2, 3, 3}};
   const Graph g = Graph::FromEdges(4, edges);
-  DynamicIndex index = DynamicIndex::Build(g);
+  DynamicIndex index = BuildDynamic(g);
   EXPECT_EQ(index.Query(0, 3), graph::kInfiniteDistance);
   index.AddEdge(1, 2, 5);
   EXPECT_EQ(index.Query(0, 3), 10u);
@@ -53,7 +59,7 @@ TEST(DynamicIndex, InsertConnectsComponents) {
 TEST(DynamicIndex, ParallelEdgeKeepsLighter) {
   const std::vector<Edge> edges = {{0, 1, 9}};
   const Graph g = Graph::FromEdges(2, edges);
-  DynamicIndex index = DynamicIndex::Build(g);
+  DynamicIndex index = BuildDynamic(g);
   index.AddEdge(0, 1, 4);
   EXPECT_EQ(index.Query(0, 1), 4u);
   index.AddEdge(0, 1, 7);  // heavier duplicate: no effect
@@ -62,7 +68,7 @@ TEST(DynamicIndex, ParallelEdgeKeepsLighter) {
 
 TEST(DynamicIndex, HeavierEdgeThanExistingPathIsNoop) {
   const Graph g = graph::Complete(10, WeightOptions{WeightModel::kUnit, 1}, 2);
-  DynamicIndex index = DynamicIndex::Build(g);
+  DynamicIndex index = BuildDynamic(g);
   const std::size_t before = index.TotalEntries();
   index.AddEdge(0, 9, 100);  // useless edge
   EXPECT_EQ(index.Query(0, 9), 1u);
@@ -77,7 +83,7 @@ TEST_P(DynamicIndexProperty, StaysExactUnderRandomInsertions) {
   util::Rng rng(GetParam());
   const auto n = static_cast<VertexId>(30 + rng.Below(50));
   Graph g = graph::ErdosRenyi(n, n + rng.Below(2 * n), kUniform, GetParam());
-  DynamicIndex index = DynamicIndex::Build(g);
+  DynamicIndex index = BuildDynamic(g);
 
   std::vector<Edge> edges = g.ToEdgeList();
   for (int round = 0; round < 12; ++round) {
@@ -112,7 +118,7 @@ TEST(DynamicIndex, ManyInsertionsMatchFullRebuild) {
   util::Rng rng(99);
   const VertexId n = 60;
   Graph g = graph::Cycle(n, kUniform, 99);
-  DynamicIndex incremental = DynamicIndex::Build(g);
+  DynamicIndex incremental = BuildDynamic(g);
   std::vector<Edge> edges = g.ToEdgeList();
   for (int i = 0; i < 30; ++i) {
     const auto u = static_cast<VertexId>(rng.Below(n));
@@ -122,7 +128,7 @@ TEST(DynamicIndex, ManyInsertionsMatchFullRebuild) {
     edges.push_back(Edge{u, v, w});
   }
   g = Graph::FromEdges(n, edges);
-  const DynamicIndex rebuilt = DynamicIndex::Build(g);
+  const DynamicIndex rebuilt = BuildDynamic(g);
   for (VertexId s = 0; s < n; ++s) {
     for (VertexId t = 0; t < n; ++t) {
       ASSERT_EQ(incremental.Query(s, t), rebuilt.Query(s, t));

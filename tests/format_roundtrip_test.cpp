@@ -117,7 +117,7 @@ TEST(FormatRoundTrip, SerialBuildsWriteByteIdenticalV2Files) {
     manifest.created_unix = 0;
     index.SetManifest(manifest);
     const std::string path = BackendTempPath(tag);
-    pll::WriteIndexV2File(index, path);
+    pll::WriteIndexFile(index, path, pll::kIndexFormatV2);
     std::ifstream in(path, std::ios::binary);
     files.emplace_back(std::istreambuf_iterator<char>(in),
                        std::istreambuf_iterator<char>());
@@ -166,7 +166,7 @@ void ExerciseAllBackends(const pll::Index& index, const char* tag,
 
 #ifdef PARAPLL_HAVE_MMAP
   const std::string path = BackendTempPath(tag);
-  pll::WriteIndexV2File(index, path);
+  pll::WriteIndexFile(index, path, pll::kIndexFormatV2);
   const pll::ServableIndex mapped =
       pll::ServableIndex::Load(path, pll::StoreBackend::kMmap);
   EXPECT_EQ(mapped.backend, pll::StoreBackend::kMmap);

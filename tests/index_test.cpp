@@ -5,7 +5,8 @@
 #include <sstream>
 
 #include "graph/generators.hpp"
-#include "pll/serial_pll.hpp"
+#include "build/pipeline.hpp"
+#include "pll/format_v2.hpp"
 #include "pll/verify.hpp"
 
 namespace parapll::pll {
@@ -18,8 +19,7 @@ using graph::WeightOptions;
 const WeightOptions kUniform{WeightModel::kUniform, 10};
 
 Index BuildTestIndex(const Graph& g) {
-  SerialBuildResult result = BuildSerial(g, {});
-  return Index(std::move(result.store), std::move(result.order));
+  return build::Run(g, {}).artifact.index;
 }
 
 TEST(IndexTest, QueriesUseOriginalIds) {
@@ -54,7 +54,7 @@ TEST(IndexTest, SaveLoadFileRoundTrip) {
   const Graph g = graph::Cycle(20, kUniform, 4);
   const Index index = BuildTestIndex(g);
   const std::string path = testing::TempDir() + "/parapll_index_test.bin";
-  index.SaveFile(path);
+  WriteIndexFile(index, path, kIndexFormatV1);
   const Index loaded = Index::LoadFile(path);
   EXPECT_EQ(index, loaded);
 }

@@ -5,7 +5,7 @@
 #include <algorithm>
 
 #include "baseline/dijkstra.hpp"
-#include "core/builder.hpp"
+#include "build/pipeline.hpp"
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
 
@@ -42,7 +42,7 @@ std::vector<KnnResult> BruteForceKnn(const Graph& g, VertexId s,
 
 TEST(KnnEngine, PathGraphNeighborsInOrder) {
   const Graph g = graph::Path(7, WeightOptions{WeightModel::kUnit, 1}, 1);
-  const Index index = IndexBuilder().Build(g);
+  const Index index = build::Run(g, {}).artifact.index;
   const KnnEngine engine(index);
   const auto knn = engine.Nearest(3, 3);
   ASSERT_EQ(knn.size(), 3u);
@@ -53,7 +53,7 @@ TEST(KnnEngine, PathGraphNeighborsInOrder) {
 
 TEST(KnnEngine, ExcludesSourceItself) {
   const Graph g = graph::Complete(6, kUniform, 2);
-  const Index index = IndexBuilder().Build(g);
+  const Index index = build::Run(g, {}).artifact.index;
   const KnnEngine engine(index);
   const auto knn = engine.Nearest(2, 10);
   EXPECT_EQ(knn.size(), 5u);
@@ -65,7 +65,7 @@ TEST(KnnEngine, ExcludesSourceItself) {
 TEST(KnnEngine, SmallComponentReturnsFewer) {
   const std::vector<graph::Edge> edges = {{0, 1, 2}, {1, 2, 3}, {3, 4, 1}};
   const Graph g = Graph::FromEdges(5, edges);
-  const Index index = IndexBuilder().Build(g);
+  const Index index = build::Run(g, {}).artifact.index;
   const KnnEngine engine(index);
   const auto knn = engine.Nearest(3, 10);
   ASSERT_EQ(knn.size(), 1u);  // only vertex 4 shares 3's component
@@ -86,7 +86,7 @@ TEST_P(KnnProperty, MatchesBruteForceEverywhere) {
         return graph::ErdosRenyi(60, 140, kUniform, GetParam());
     }
   }();
-  const Index index = IndexBuilder().Build(g);
+  const Index index = build::Run(g, {}).artifact.index;
   const KnnEngine engine(index);
   for (int i = 0; i < 15; ++i) {
     const auto s = static_cast<VertexId>(rng.Below(g.NumVertices()));

@@ -22,7 +22,6 @@
 #include "pll/format_v2.hpp"
 #include "pll/index.hpp"
 #include "pll/mapped_file.hpp"
-#include "pll/serial_pll.hpp"
 #include "pll/servable.hpp"
 #include "query/query_engine.hpp"
 #include "util/rng.hpp"
@@ -43,8 +42,7 @@ std::string TempPath(const std::string& name) {
 }
 
 pll::Index BuildIndex(const Graph& g) {
-  pll::SerialBuildResult result = pll::BuildSerial(g, {});
-  return pll::Index(std::move(result.store), std::move(result.order));
+  return build::Run(g, {}).artifact.index;
 }
 
 std::vector<query::QueryPair> RandomPairs(graph::VertexId n,
@@ -81,7 +79,7 @@ TEST(FormatV2Test, FileRoundTripPreservesStoreOrderAndManifest) {
   const build::BuildOutcome built = build::Run(g, {});
   const pll::Index& index = built.artifact.index;
   const std::string path = TempPath("roundtrip");
-  pll::WriteIndexV2File(index, path);
+  pll::WriteIndexFile(index, path, pll::kIndexFormatV2);
 
   const pll::Index loaded = pll::Index::LoadFile(path);
   EXPECT_EQ(loaded.Store(), index.Store());
@@ -97,7 +95,7 @@ TEST(FormatV2Test, FileRoundTripPreservesStoreOrderAndManifest) {
   // embedded manifest — format_version names the container, not the
   // file the index came from.
   const std::string v1_path = TempPath("roundtrip_v1");
-  loaded.SaveFile(v1_path);
+  pll::WriteIndexFile(loaded, v1_path, pll::kIndexFormatV1);
   const pll::Index republished = pll::Index::LoadFile(v1_path);
   EXPECT_EQ(republished.Manifest().format_version, pll::kIndexFormatV1);
   EXPECT_EQ(republished.Store(), index.Store());
@@ -108,7 +106,7 @@ TEST(FormatV2Test, FileRoundTripPreservesStoreOrderAndManifest) {
 TEST(FormatV2Test, EmptyIndexRoundTrips) {
   const pll::Index empty(pll::LabelStore::FromRows({}), {});
   const std::string path = TempPath("empty");
-  pll::WriteIndexV2File(empty, path);
+  pll::WriteIndexFile(empty, path, pll::kIndexFormatV2);
   EXPECT_EQ(pll::Index::LoadFile(path).NumVertices(), 0u);
 #if PARAPLL_HAVE_MMAP
   EXPECT_EQ(
@@ -137,7 +135,7 @@ TEST(LabelSourceTest, AllBackendsAnswerIdenticallyAcrossGraphFamilies) {
     SCOPED_TRACE(family.name);
     const pll::Index index = BuildIndex(family.g);
     const std::string path = TempPath(family.name);
-    pll::WriteIndexV2File(index, path);
+    pll::WriteIndexFile(index, path, pll::kIndexFormatV2);
 
     const auto pairs = RandomPairs(family.g.NumVertices(), 600, 31);
     std::vector<graph::Distance> expected(pairs.size());
@@ -180,7 +178,7 @@ TEST(MmapLoadTest, ExposesManifestAndOrderFromTheMapping) {
   const Graph g = graph::ErdosRenyi(70, 210, kUniform, 41);
   const build::BuildOutcome built = build::Run(g, {});
   const std::string path = TempPath("view");
-  pll::WriteIndexV2File(built.artifact.index, path);
+  pll::WriteIndexFile(built.artifact.index, path, pll::kIndexFormatV2);
 
   const pll::ServableIndex mapped =
       pll::ServableIndex::Load(path, pll::StoreBackend::kMmap);
@@ -230,7 +228,7 @@ TEST(LabelSourceTest, MmapOpenIsFarCheaperThanHeapDeserialize) {
   const pll::Index index(pll::LabelStore::FromRows(std::move(rows)),
                          std::move(order));
   const std::string path = TempPath("timing");
-  pll::WriteIndexV2File(index, path);
+  pll::WriteIndexFile(index, path, pll::kIndexFormatV2);
 
   auto min_of_3 = [](auto&& body) {
     double best = 1e9;

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -113,9 +114,9 @@ TEST(ProfilerTest, CapturesParallelBuildWithRootAttribution) {
   ProfilerOptions options;
   options.sample_hz = 997;  // dense sampling keeps this test fast
   Profiler::Global().Start(options);
-  IndexBuilder builder;
-  builder.Mode(BuildMode::kParallel).Threads(2);
-  const pll::Index index = builder.Build(g);
+  const pll::Index index =
+      build::Run(g, {.mode = build::BuildMode::kParallel, .threads = 2})
+          .artifact.index;
   const ProfileReport report = Profiler::Global().Stop();
 
   EXPECT_GT(index.TotalEntries(), 0u);
@@ -138,9 +139,7 @@ TEST(ProfilerTest, CapturesQueryBatchWithBatchAttribution) {
     GTEST_SKIP() << "profiler unsupported on this platform";
   }
   const graph::Graph g = graph::MakeDatasetByName("Epinions", 0.03, 7);
-  IndexBuilder builder;
-  builder.Mode(BuildMode::kSerial);
-  const pll::Index index = builder.Build(g);
+  const pll::Index index = build::Run(g, {}).artifact.index;
 
   std::vector<query::QueryPair> pairs;
   util::Rng rng(7);
@@ -195,9 +194,7 @@ TEST(ProfilerTest, OverheadOnQueryThroughputIsBounded) {
     GTEST_SKIP() << "profiler unsupported on this platform";
   }
   const graph::Graph g = graph::MakeDatasetByName("Epinions", 0.03, 7);
-  IndexBuilder builder;
-  builder.Mode(BuildMode::kSerial);
-  const pll::Index index = builder.Build(g);
+  const pll::Index index = build::Run(g, {}).artifact.index;
 
   std::vector<query::QueryPair> pairs;
   util::Rng rng(11);
@@ -215,13 +212,7 @@ TEST(ProfilerTest, OverheadOnQueryThroughputIsBounded) {
   // side keeps its minimum, which filters scheduler noise. The generous
   // bound still catches a profiler that makes sampling anywhere near
   // expensive (the real measured overhead is <5%; see EXPERIMENTS.md).
-  // The sample pool is kept small: at the default pool size each Start()
-  // zero-fills ~147 MB, which evicts the index from the caches and costs
-  // CPU time a loaded scheduler then takes back during the next pass,
-  // and neither is sampling overhead.
-  ProfilerOptions options;
-  options.ring_capacity = 1024;
-  options.max_threads = 4;
+  const ProfilerOptions options;
   auto run_once = [&] {
     const std::uint64_t begin_ns = TraceNowNs();
     engine.QueryBatch(pairs, out);
@@ -244,6 +235,39 @@ TEST(ProfilerTest, OverheadOnQueryThroughputIsBounded) {
       static_cast<double>(profiled_ns) / static_cast<double>(base_ns) - 1.0;
   EXPECT_LT(overhead, 0.25) << "profiled " << profiled_ns << "ns vs "
                             << base_ns << "ns (" << samples << " samples)";
+}
+
+// This process's resident bytes (VmRSS in /proc/self/status); 0 when the
+// platform does not report it.
+std::size_t ResidentBytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) {
+      return std::stoull(line.substr(6)) * 1024;  // reported in kB
+    }
+  }
+  return 0;
+}
+
+// Start() reserves the sample pool without writing it: at the defaults
+// the pool spans 64 threads x 8192 samples (~140 MB), of which a 97 Hz
+// sampler fills a few hundred slots a second. Only written slots may
+// become resident.
+TEST(ProfilerTest, StartLeavesTheSamplePoolUntouched) {
+  if (!Profiler::Supported()) {
+    GTEST_SKIP() << "profiler unsupported on this platform";
+  }
+  const std::size_t before = ResidentBytes();
+  if (before == 0) {
+    GTEST_SKIP() << "no VmRSS in /proc/self/status";
+  }
+  Profiler::Global().Start(ProfilerOptions{});
+  const std::size_t after = ResidentBytes();
+  (void)Profiler::Global().Stop();
+  EXPECT_LT(after, before + (std::size_t{16} << 20))
+      << "VmRSS grew from " << before << " to " << after
+      << " bytes across Start()";
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/dijkstra.hpp"
-#include "core/builder.hpp"
+#include "build/pipeline.hpp"
 #include "graph/components.hpp"
 #include "graph/generators.hpp"
 #include "pll/verify.hpp"
@@ -13,6 +13,7 @@
 namespace parapll {
 namespace {
 
+using build::BuildMode;
 using graph::Graph;
 using graph::WeightModel;
 using graph::WeightOptions;
@@ -48,7 +49,7 @@ class RandomGraphProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RandomGraphProperty, SerialPllIsExactEverywhere) {
   const Graph g = RandomGraph(GetParam());
-  const pll::Index index = IndexBuilder().Build(g);
+  const pll::Index index = build::Run(g, {}).artifact.index;
   const auto verdict = pll::VerifyExhaustive(g, index);
   EXPECT_TRUE(verdict.Ok()) << verdict.ToString();
 }
@@ -59,11 +60,11 @@ TEST_P(RandomGraphProperty, ParallelPllIsExactSampled) {
   const std::size_t threads = 1 + rng.Below(8);
   const auto policy = rng.Chance(0.5) ? parallel::AssignmentPolicy::kStatic
                                       : parallel::AssignmentPolicy::kDynamic;
-  const pll::Index index = IndexBuilder()
-                               .Mode(BuildMode::kParallel)
-                               .Threads(threads)
-                               .Policy(policy)
-                               .Build(g);
+  const pll::Index index =
+      build::Run(g, {.mode = BuildMode::kParallel,
+                     .threads = threads,
+                     .policy = policy})
+          .artifact.index;
   const auto verdict = pll::VerifySampled(g, index, 400, GetParam());
   EXPECT_TRUE(verdict.Ok())
       << "threads=" << threads << " " << verdict.ToString();
@@ -73,12 +74,13 @@ TEST_P(RandomGraphProperty, SimulatedScheduleIsExactSampled) {
   const Graph g = RandomGraph(GetParam() + 2000);
   util::Rng rng(GetParam());
   const pll::Index index =
-      IndexBuilder()
-          .Mode(BuildMode::kSimulated)
-          .Threads(1 + rng.Below(12))
-          .Policy(rng.Chance(0.5) ? parallel::AssignmentPolicy::kStatic
-                                  : parallel::AssignmentPolicy::kDynamic)
-          .Build(g);
+      build::Run(g,
+                 {.mode = BuildMode::kSimulated,
+                  .threads = 1 + rng.Below(12),
+                  .policy = rng.Chance(0.5)
+                                ? parallel::AssignmentPolicy::kStatic
+                                : parallel::AssignmentPolicy::kDynamic})
+          .artifact.index;
   const auto verdict = pll::VerifySampled(g, index, 400, GetParam());
   EXPECT_TRUE(verdict.Ok()) << verdict.ToString();
 }
@@ -86,13 +88,15 @@ TEST_P(RandomGraphProperty, SimulatedScheduleIsExactSampled) {
 TEST_P(RandomGraphProperty, ClusterScheduleIsExactSampled) {
   const Graph g = RandomGraph(GetParam() + 3000);
   util::Rng rng(GetParam());
-  const pll::Index index =
-      IndexBuilder()
-          .Mode(BuildMode::kCluster)
-          .Nodes(1 + rng.Below(6))
-          .Threads(1 + rng.Below(3))
-          .SyncCount(1 + rng.Below(8))
-          .Build(g);
+  // Drawn in this order so each seed keeps its cluster shape.
+  const std::size_t nodes = 1 + rng.Below(6);
+  const std::size_t threads = 1 + rng.Below(3);
+  const std::size_t sync_count = 1 + rng.Below(8);
+  const pll::Index index = build::Run(g, {.mode = BuildMode::kCluster,
+                                          .threads = threads,
+                                          .nodes = nodes,
+                                          .sync_count = sync_count})
+                               .artifact.index;
   const auto verdict = pll::VerifySampled(g, index, 400, GetParam());
   EXPECT_TRUE(verdict.Ok()) << verdict.ToString();
 }
@@ -100,7 +104,7 @@ TEST_P(RandomGraphProperty, ClusterScheduleIsExactSampled) {
 TEST_P(RandomGraphProperty, QueryIsSymmetric) {
   // Undirected graph: d(s, t) == d(t, s) through the index.
   const Graph g = RandomGraph(GetParam() + 4000);
-  const pll::Index index = IndexBuilder().Build(g);
+  const pll::Index index = build::Run(g, {}).artifact.index;
   util::Rng rng(GetParam());
   for (int i = 0; i < 50; ++i) {
     const auto s = static_cast<graph::VertexId>(rng.Below(g.NumVertices()));
@@ -111,7 +115,7 @@ TEST_P(RandomGraphProperty, QueryIsSymmetric) {
 
 TEST_P(RandomGraphProperty, TriangleInequalityThroughIndex) {
   const Graph g = RandomGraph(GetParam() + 5000);
-  const pll::Index index = IndexBuilder().Build(g);
+  const pll::Index index = build::Run(g, {}).artifact.index;
   util::Rng rng(GetParam());
   for (int i = 0; i < 50; ++i) {
     const auto a = static_cast<graph::VertexId>(rng.Below(g.NumVertices()));
@@ -128,7 +132,7 @@ TEST_P(RandomGraphProperty, TriangleInequalityThroughIndex) {
 
 TEST_P(RandomGraphProperty, InfiniteIffDifferentComponents) {
   const Graph g = RandomGraph(GetParam() + 6000);
-  const pll::Index index = IndexBuilder().Build(g);
+  const pll::Index index = build::Run(g, {}).artifact.index;
   const auto labels = graph::ComponentLabels(g);
   util::Rng rng(GetParam());
   for (int i = 0; i < 100; ++i) {

@@ -23,7 +23,6 @@
 #include "graph/generators.hpp"
 #include "pll/format_v2.hpp"
 #include "pll/mapped_file.hpp"
-#include "pll/serial_pll.hpp"
 #include "pll/servable.hpp"
 #include "query/query_engine.hpp"
 #include "serve/frame.hpp"
@@ -47,8 +46,7 @@ using graph::WeightOptions;
 using query::QueryPair;
 
 pll::Index BuildTestIndex(const Graph& g) {
-  pll::SerialBuildResult result = pll::BuildSerial(g, {});
-  return pll::Index(std::move(result.store), std::move(result.order));
+  return build::Run(g, {}).artifact.index;
 }
 
 std::vector<QueryPair> RandomPairs(graph::VertexId n, std::size_t count,

@@ -6,8 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "build/pipeline.hpp"
 #include "graph/generators.hpp"
-#include "pll/serial_pll.hpp"
 #include "query/query_engine.hpp"
 #include "util/rng.hpp"
 
@@ -21,8 +21,7 @@ using graph::WeightOptions;
 const WeightOptions kUniform{WeightModel::kUniform, 20};
 
 pll::Index BuildTestIndex(const Graph& g) {
-  pll::SerialBuildResult result = pll::BuildSerial(g, {});
-  return pll::Index(std::move(result.store), std::move(result.order));
+  return build::Run(g, {}).artifact.index;
 }
 
 std::vector<QueryPair> RandomPairs(graph::VertexId n, std::size_t count,

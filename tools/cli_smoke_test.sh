@@ -26,6 +26,35 @@ printf '1 2\n3 4\n' | "$CLI" query --index "$WORK/g.zindex" --compact \
 "$CLI" verify --index "$WORK/g.zindex" --compact --graph "$WORK/g.txt" \
   --pairs 400
 
+# Index files are replaced, never rewritten in place, so a process that
+# has the old file mapped (serve --mmap) keeps reading consistent bytes:
+# building or converting over an existing file gives it a new inode and
+# leaves no temp file behind.
+inode() { ls -i "$1" | awk '{print $1}'; }
+old="$(inode "$WORK/g.index")"
+"$CLI" build --graph "$WORK/g.txt" --mode parallel --threads 4 \
+  --out "$WORK/g.index"
+[ "$(inode "$WORK/g.index")" != "$old" ]
+"$CLI" convert --index "$WORK/g.index" --out "$WORK/g.v2" --index-format 2
+old="$(inode "$WORK/g.v2")"
+"$CLI" convert --index "$WORK/g.index" --out "$WORK/g.v2" --index-format 2
+[ "$(inode "$WORK/g.v2")" != "$old" ]
+"$CLI" verify --index "$WORK/g.v2" --graph "$WORK/g.txt" --pairs 100
+[ -z "$(find "$WORK" -name '*.tmp')" ]
+# query-bench reads the index once: under --backend mmap both passes
+# answer from the mapping, with no heap load beside it.
+"$CLI" query-bench --index "$WORK/g.v2" --pairs 200 --backend mmap \
+  2> "$WORK/qb.log"
+[ "$(grep -c 'index load:' "$WORK/qb.log")" -eq 1 ]
+grep -q 'mode=mmap' "$WORK/qb.log"
+# A pair naming no vertex of the index is refused with an error.
+printf '0 1\n1 99999999\n' > "$WORK/bad.pairs"
+if "$CLI" query-bench --index "$WORK/g.v2" --pair-file "$WORK/bad.pairs" \
+  --backend mmap 2> "$WORK/bad.log"; then
+  exit 1
+fi
+grep -q 'out of range' "$WORK/bad.log"
+
 # Checkpoint -> resume round trip: a halted build must leave a resumable
 # checkpoint, and the resumed build must produce a complete index that
 # verifies against Dijkstra (query equality, not entry-count equality).

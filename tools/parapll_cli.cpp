@@ -78,9 +78,9 @@ int Usage() {
       "           rewrite an index into another container format\n"
       "  query-bench --index FILE [--compact] --pairs N [--pair-file F]\n"
       "           --threads P --batch B   (batched vs per-call throughput)\n"
-      "           [--backend heap|mmap] answer the batched pass from\n"
-      "           another label source; distances are verified against\n"
-      "           the heap per-call baseline\n"
+      "           [--backend heap|mmap] where both passes read label\n"
+      "           rows from (the file is read once); batched distances\n"
+      "           are verified against the per-call baseline\n"
       "  serve    --index FILE [--port N] [--threads P] [--watch]\n"
       "           [--max-queued-pairs Q] [--idle-timeout-ms T]\n"
       "           [--port-file F]   TCP daemon answering DISTANCE_QUERY\n"
@@ -145,38 +145,59 @@ int CmdGenerate(util::ArgParser& args) {
   return 0;
 }
 
+// --index-format as a container version; 0 (after a message) when the
+// flag names none.
+std::uint32_t IndexFormatFlag(const util::ArgParser& args) {
+  const auto format = static_cast<std::uint32_t>(
+      std::max<std::int64_t>(args.GetInt("index-format"), 1));
+  if (format != pll::kIndexFormatV1 && format != pll::kIndexFormatV2) {
+    std::fprintf(stderr, "unknown --index-format %u\n", format);
+    return 0;
+  }
+  return format;
+}
+
 int CmdBuild(util::ArgParser& args) {
-  const graph::Graph g = graph::ReadEdgeListTextFile(args.GetString("graph"));
+  const std::uint32_t format = IndexFormatFlag(args);
+  if (format == 0) {
+    return 1;
+  }
+  const bool compact = args.GetBool("compact");
+  if (compact && format != pll::kIndexFormatV1) {
+    std::fprintf(stderr, "--compact only supports --index-format 1\n");
+    return 1;
+  }
   const std::string mode_name = args.GetString("mode");
-  IndexBuilder builder;
+  build::BuildPlan plan;
   if (mode_name == "serial") {
-    builder.Mode(BuildMode::kSerial);
+    plan.mode = build::BuildMode::kSerial;
   } else if (mode_name == "parallel") {
-    builder.Mode(BuildMode::kParallel);
+    plan.mode = build::BuildMode::kParallel;
   } else if (mode_name == "simulated") {
-    builder.Mode(BuildMode::kSimulated);
+    plan.mode = build::BuildMode::kSimulated;
   } else if (mode_name == "cluster") {
-    builder.Mode(BuildMode::kCluster);
+    plan.mode = build::BuildMode::kCluster;
   } else {
     std::fprintf(stderr, "unknown mode %s\n", mode_name.c_str());
     return 1;
   }
-  builder.Threads(static_cast<std::size_t>(args.GetInt("threads")))
-      .Nodes(static_cast<std::size_t>(args.GetInt("nodes")))
-      .SyncCount(static_cast<std::size_t>(args.GetInt("sync")))
-      .Policy(args.GetString("policy") == "static"
-                  ? parallel::AssignmentPolicy::kStatic
-                  : parallel::AssignmentPolicy::kDynamic)
-      .Seed(static_cast<std::uint64_t>(args.GetInt("seed")))
-      .CheckpointDir(args.GetString("checkpoint-dir"))
-      .CheckpointEvery(static_cast<graph::VertexId>(
-          std::max<std::int64_t>(args.GetInt("checkpoint-every"), 0)))
-      .ResumeFrom(args.GetString("resume"))
-      .HaltAfterRoots(static_cast<graph::VertexId>(
-          std::max<std::int64_t>(args.GetInt("halt-after"), 0)));
+  plan.threads = static_cast<std::size_t>(args.GetInt("threads"));
+  plan.nodes = static_cast<std::size_t>(args.GetInt("nodes"));
+  plan.sync_count = static_cast<std::size_t>(args.GetInt("sync"));
+  plan.policy = args.GetString("policy") == "static"
+                    ? parallel::AssignmentPolicy::kStatic
+                    : parallel::AssignmentPolicy::kDynamic;
+  plan.seed = static_cast<std::uint64_t>(args.GetInt("seed"));
+  plan.checkpoint_every = static_cast<graph::VertexId>(
+      std::max<std::int64_t>(args.GetInt("checkpoint-every"), 0));
+  plan.checkpoint_dir = args.GetString("checkpoint-dir");
+  plan.resume_dir = args.GetString("resume");
+  plan.halt_after_roots = static_cast<graph::VertexId>(
+      std::max<std::int64_t>(args.GetInt("halt-after"), 0));
 
-  BuildReport report;
-  const pll::Index index = builder.Build(g, &report);
+  const graph::Graph g = graph::ReadEdgeListTextFile(args.GetString("graph"));
+  const build::BuildOutcome outcome = build::Run(g, plan);
+  const pll::Index& index = outcome.artifact.index;
   PublishHealthInfo(index);
   // With metrics on, sample a batch of random queries so a single build
   // run also yields a query-latency histogram in the snapshot.
@@ -192,41 +213,19 @@ int CmdBuild(util::ArgParser& args) {
     }
   }
   const std::string out = args.GetString("out");
-  const auto format =
-      static_cast<std::uint32_t>(std::max<std::int64_t>(
-          args.GetInt("index-format"), 1));
-  if (args.GetBool("compact")) {
-    if (format != pll::kIndexFormatV1) {
-      std::fprintf(stderr, "--compact only supports --index-format 1\n");
-      return 1;
-    }
-    std::ofstream stream(out, std::ios::binary);
-    if (!stream) {
-      throw std::runtime_error("cannot open " + out);
-    }
-    pll::WriteCompactIndex(index, stream);
-  } else if (format == pll::kIndexFormatV2) {
-    pll::WriteIndexV2File(index, out);
-  } else if (format == pll::kIndexFormatV1) {
-    index.SaveFile(out);
-  } else {
-    std::fprintf(stderr, "unknown --index-format %u\n", format);
-    return 1;
-  }
-  if (report.complete) {
+  pll::WriteIndexFile(index, out, format, compact);
+  if (outcome.complete) {
     std::printf("indexed n=%u in %s: LN=%.1f, %zu entries -> %s\n",
                 g.NumVertices(),
-                util::FormatDuration(report.indexing_seconds).c_str(),
-                report.avg_label_size, report.total_label_entries,
-                out.c_str());
+                util::FormatDuration(outcome.wall_seconds).c_str(),
+                index.AvgLabelSize(), index.TotalEntries(), out.c_str());
   } else {
     std::printf(
         "halted after %llu/%u roots in %s: %zu finalized entries -> %s "
         "(resume with --resume)\n",
-        static_cast<unsigned long long>(report.roots_completed),
-        g.NumVertices(),
-        util::FormatDuration(report.indexing_seconds).c_str(),
-        report.total_label_entries, out.c_str());
+        static_cast<unsigned long long>(index.Manifest().roots_completed),
+        g.NumVertices(), util::FormatDuration(outcome.wall_seconds).c_str(),
+        index.TotalEntries(), out.c_str());
   }
   return 0;
 }
@@ -303,18 +302,13 @@ int CmdConvert(util::ArgParser& args) {
     std::fprintf(stderr, "convert: --index and --out are required\n");
     return 1;
   }
-  const pll::Index index =
-      LoadIndex(args.GetString("index"), args.GetBool("compact"));
-  const auto format = static_cast<std::uint32_t>(
-      std::max<std::int64_t>(args.GetInt("index-format"), 1));
-  if (format == pll::kIndexFormatV2) {
-    pll::WriteIndexV2File(index, out);
-  } else if (format == pll::kIndexFormatV1) {
-    index.SaveFile(out);
-  } else {
-    std::fprintf(stderr, "unknown --index-format %u\n", format);
+  const std::uint32_t format = IndexFormatFlag(args);
+  if (format == 0) {
     return 1;
   }
+  const pll::Index index =
+      LoadIndex(args.GetString("index"), args.GetBool("compact"));
+  pll::WriteIndexFile(index, out, format);
   std::printf("converted %s (n=%u, %zu entries) -> %s (format v%u)\n",
               args.GetString("index").c_str(), index.NumVertices(),
               index.TotalEntries(), out.c_str(), format);
@@ -325,10 +319,24 @@ int CmdConvert(util::ArgParser& args) {
 // per-call and through QueryEngine::QueryBatch, verifies the distances
 // are identical, and prints both throughputs. The batched figure times
 // the second of two batched passes, so every backend is measured warm.
+// --backend picks where the label rows live; both the per-call baseline
+// and the batched passes read them from there, so the file is read once.
 int CmdQueryBench(util::ArgParser& args) {
-  const pll::Index index =
-      LoadIndex(args.GetString("index"), args.GetBool("compact"));
-  if (index.NumVertices() == 0) {
+  const pll::StoreBackend backend =
+      pll::StoreBackendFromString(args.GetString("backend"));
+  if (backend != pll::StoreBackend::kHeap && args.GetBool("compact")) {
+    std::fprintf(stderr, "--backend %s needs a non-compact index file\n",
+                 ToString(backend));
+    return 1;
+  }
+  const pll::ServableIndex servable =
+      backend == pll::StoreBackend::kHeap
+          ? pll::ServableIndex::FromIndex(
+                LoadIndex(args.GetString("index"), args.GetBool("compact")))
+          : pll::ServableIndex::Load(args.GetString("index"), backend);
+  PublishHealthInfo(servable.manifest, servable.NumVertices());
+  const graph::VertexId n = servable.NumVertices();
+  if (n == 0) {
     std::fprintf(stderr, "empty index\n");
     return 1;
   }
@@ -353,9 +361,8 @@ int CmdQueryBench(util::ArgParser& args) {
     const auto count = static_cast<std::size_t>(args.GetInt("pairs"));
     pairs.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
-      pairs.emplace_back(
-          static_cast<graph::VertexId>(rng.Below(index.NumVertices())),
-          static_cast<graph::VertexId>(rng.Below(index.NumVertices())));
+      pairs.emplace_back(static_cast<graph::VertexId>(rng.Below(n)),
+                         static_cast<graph::VertexId>(rng.Below(n)));
     }
   }
   if (pairs.empty()) {
@@ -363,10 +370,21 @@ int CmdQueryBench(util::ArgParser& args) {
     return 1;
   }
 
+  for (const query::QueryPair& pair : pairs) {
+    if (pair.first >= n || pair.second >= n) {
+      std::fprintf(stderr, "pair (%u, %u) is out of range\n", pair.first,
+                   pair.second);
+      return 1;
+    }
+  }
+  const pll::LabelSource& source = *servable.source;
+  const std::vector<graph::VertexId> rank_of =
+      pll::InvertOrder(servable.order);
   std::vector<graph::Distance> expected(pairs.size());
   util::WallTimer per_call;
   for (std::size_t i = 0; i < pairs.size(); ++i) {
-    expected[i] = index.Query(pairs[i].first, pairs[i].second);
+    const auto [s, t] = pairs[i];
+    expected[i] = s == t ? 0 : source.Query(rank_of[s], rank_of[t]);
   }
   const double per_call_seconds = per_call.Seconds();
 
@@ -385,27 +403,10 @@ int CmdQueryBench(util::ArgParser& args) {
         std::max<std::int64_t>(args.GetInt("slow-query-sample"), 0));
     slow_log = std::make_unique<query::SlowQueryLog>(slow_path, slow_options);
   }
-  // --backend picks where the batched engine's label rows live; the
-  // per-call baseline above always answered from the heap index, so the
-  // mismatch check doubles as a cross-backend equivalence check.
-  const pll::StoreBackend backend =
-      pll::StoreBackendFromString(args.GetString("backend"));
-  pll::ServableIndex servable;  // owns the zero-copy source, if any
-  if (backend != pll::StoreBackend::kHeap) {
-    if (args.GetBool("compact")) {
-      std::fprintf(stderr, "--backend %s needs a non-compact index file\n",
-                   ToString(backend));
-      return 1;
-    }
-    servable = pll::ServableIndex::Load(args.GetString("index"), backend);
-  }
   auto make_engine = [&](query::SlowQueryLog* log) {
-    const query::QueryEngineOptions engine_options{.threads = threads,
-                                                   .slow_log = log};
-    return backend == pll::StoreBackend::kHeap
-               ? std::make_unique<query::QueryEngine>(index, engine_options)
-               : std::make_unique<query::QueryEngine>(
-                     servable.source, servable.order, engine_options);
+    return std::make_unique<query::QueryEngine>(
+        servable.source, servable.order,
+        query::QueryEngineOptions{.threads = threads, .slow_log = log});
   };
   std::vector<graph::Distance> got(pairs.size());
   auto run_batches = [&](query::QueryEngine& engine) {
