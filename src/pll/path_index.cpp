@@ -51,13 +51,14 @@ PathIndex PathIndex::Build(const graph::Graph& g,
   index.rows_ = labels.Take();
   // Serial PLL appends hubs in increasing rank, so rows are sorted; keep
   // the invariant explicit for FindEntry's binary search.
-  for (auto& row : index.rows_) {
-    PARAPLL_DCHECK(std::is_sorted(
-        row.begin(), row.end(),
-        [](const PathLabelEntry& a, const PathLabelEntry& b) {
-          return a.hub < b.hub;
-        }));
-  }
+  PARAPLL_DCHECK(std::all_of(
+      index.rows_.begin(), index.rows_.end(), [](const auto& row) {
+        return std::is_sorted(
+            row.begin(), row.end(),
+            [](const PathLabelEntry& a, const PathLabelEntry& b) {
+              return a.hub < b.hub;
+            });
+      }));
   return index;
 }
 

@@ -122,31 +122,51 @@ std::string EncodeInfoRequest() {
   return Framed(std::move(payload));
 }
 
-std::string EncodeOkResponse(std::span<const graph::Distance> distances,
-                             std::string_view trace_id) {
+void AppendResponseFrame(std::string& out, ResponseStatus status,
+                         std::span<const graph::Distance> distances,
+                         std::string_view trace_id) {
+  const bool ok = status == ResponseStatus::kOk;
+  if (status == ResponseStatus::kInfo || (!ok && !distances.empty())) {
+    throw std::invalid_argument(
+        "serve frame: only an OK response carries distances");
+  }
   if (distances.size() > kMaxPairsPerRequest) {
     throw std::invalid_argument(
         "serve frame: response exceeds kMaxPairsPerRequest");
   }
-  std::string payload;
-  payload.reserve(4 + 1 + 4 + distances.size() * 8 + 1 + trace_id.size());
-  AppendU32(payload, kResponseMagic);
-  payload.push_back(static_cast<char>(ResponseStatus::kOk));
-  AppendU32(payload, static_cast<std::uint32_t>(distances.size()));
-  for (const graph::Distance d : distances) {
-    AppendU64(payload, d);
+  if (trace_id.size() > kMaxTraceIdBytes) {
+    throw std::invalid_argument(
+        "serve frame: trace id exceeds kMaxTraceIdBytes");
   }
-  AppendTrace(payload, trace_id);
-  return Framed(std::move(payload));
+  const std::size_t payload = 4 + 1 +
+                              (ok ? 4 + distances.size_bytes() : 0) +
+                              (trace_id.empty() ? 0 : 1 + trace_id.size());
+  AppendU32(out, static_cast<std::uint32_t>(payload));
+  AppendU32(out, kResponseMagic);
+  out.push_back(static_cast<char>(status));
+  if (ok) {
+    // Native u64s are the wire's little-endian u64s on every supported
+    // host, as AppendU64 assumes.
+    static_assert(sizeof(graph::Distance) == 8);
+    AppendU32(out, static_cast<std::uint32_t>(distances.size()));
+    out.append(reinterpret_cast<const char*>(distances.data()),
+               distances.size_bytes());
+  }
+  AppendTrace(out, trace_id);
+}
+
+std::string EncodeOkResponse(std::span<const graph::Distance> distances,
+                             std::string_view trace_id) {
+  std::string frame;
+  AppendResponseFrame(frame, ResponseStatus::kOk, distances, trace_id);
+  return frame;
 }
 
 std::string EncodeStatusResponse(ResponseStatus status,
                                  std::string_view trace_id) {
-  std::string payload;
-  AppendU32(payload, kResponseMagic);
-  payload.push_back(static_cast<char>(status));
-  AppendTrace(payload, trace_id);
-  return Framed(std::move(payload));
+  std::string frame;
+  AppendResponseFrame(frame, status, {}, trace_id);
+  return frame;
 }
 
 std::string EncodeInfoResponse(const ServerInfo& info) {
@@ -268,22 +288,31 @@ Response DecodeResponsePayload(std::string_view payload) {
       Fail("unknown response status");
   }
 }
+// parapll-lint: end-untrusted-decode
 
+void FrameReader::Append(const char* data, std::size_t n) {
+  buffer_.erase(0, head_);
+  head_ = 0;
+  buffer_.append(data, n);
+}
+
+// parapll-lint: begin-untrusted-decode
 bool FrameReader::Next(std::string& payload) {
-  if (buffer_.size() < 4) {
+  const std::string_view pending = std::string_view(buffer_).substr(head_);
+  if (pending.size() < 4) {
     return false;
   }
-  const std::uint32_t declared = ReadU32(buffer_, 0);
+  const std::uint32_t declared = ReadU32(pending, 0);
   if (declared > max_payload_) {
     // Checked before waiting for (or buffering) `declared` bytes: a
     // hostile length prefix can never grow this connection's buffer.
     Fail("declared frame length exceeds the payload cap");
   }
-  if (buffer_.size() < 4 + std::size_t{declared}) {
+  if (pending.size() < 4 + std::size_t{declared}) {
     return false;
   }
-  payload.assign(buffer_, 4, declared);
-  buffer_.erase(0, 4 + std::size_t{declared});
+  payload.assign(pending.substr(4, declared));
+  head_ += 4 + std::size_t{declared};
   return true;
 }
 // parapll-lint: end-untrusted-decode

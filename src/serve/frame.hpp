@@ -119,6 +119,16 @@ struct Response {
     std::span<const query::QueryPair> pairs, std::string_view trace_id = {});
 [[nodiscard]] std::string EncodeInfoRequest();
 
+// Appends one complete response frame to `out`: kOk carries `distances`,
+// kShed / kBadRequest carry none (their body is just the optional trace).
+// The daemon frames every answer of a loop cycle straight into the
+// connection's write buffer through this. Throws std::invalid_argument,
+// leaving `out` untouched, for kInfo (see EncodeInfoResponse), for
+// distances on a non-OK status, or when a cap above is exceeded.
+void AppendResponseFrame(std::string& out, ResponseStatus status,
+                         std::span<const graph::Distance> distances,
+                         std::string_view trace_id);
+
 [[nodiscard]] std::string EncodeOkResponse(
     std::span<const graph::Distance> distances, std::string_view trace_id = {});
 // kShed / kBadRequest (statuses whose body is just the optional trace).
@@ -136,23 +146,29 @@ struct Response {
 // Incremental frame assembly over an arbitrary byte stream (a socket read
 // loop feeds whatever recv returned). Append() buffers bytes; Next() pops
 // the next complete payload, validating the declared length against
-// `max_payload` as soon as the 4-byte prefix is visible.
+// `max_payload` as soon as the 4-byte prefix is visible. Next() only
+// advances a read offset; Append() drops the consumed prefix once, so a
+// read holding k frames costs one compaction, not k.
 class FrameReader {
  public:
   explicit FrameReader(std::size_t max_payload) : max_payload_(max_payload) {}
 
-  void Append(const char* data, std::size_t n) { buffer_.append(data, n); }
+  void Append(const char* data, std::size_t n);
 
   // True when a complete payload was popped into `payload`. Throws
   // std::runtime_error when the buffered length prefix exceeds
   // max_payload (the stream is unframeable from here on).
   bool Next(std::string& payload);
 
-  [[nodiscard]] std::size_t BufferedBytes() const { return buffer_.size(); }
+  // Bytes appended but not yet popped by Next().
+  [[nodiscard]] std::size_t BufferedBytes() const {
+    return buffer_.size() - head_;
+  }
 
  private:
   std::size_t max_payload_;
   std::string buffer_;
+  std::size_t head_ = 0;  // bytes of buffer_ already popped by Next()
 };
 
 }  // namespace parapll::serve

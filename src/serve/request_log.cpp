@@ -26,6 +26,8 @@ void WriteRecord(util::JsonWriter& w, const RequestRecord& record) {
   w.Key("queue_wait_ns").Value(record.queue_wait_ns);
   w.Key("batch_ns").Value(record.batch_ns);
   w.Key("latency_ns").Value(record.latency_ns);
+  w.Key("encode_ns").Value(record.encode_ns);
+  w.Key("flush_ns").Value(record.flush_ns);
   w.Key("pairs").Value(record.pairs);
   w.Key("status").Value(record.status);
   w.Key("reason").Value(record.reason);

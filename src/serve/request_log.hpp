@@ -14,7 +14,8 @@
 //
 //   {"mono_ns":..,"trace_id":"..","connection":..,
 //    "batch":"query_batch/42",                  // null for shed/error
-//    "queue_wait_ns":..,"batch_ns":..,"latency_ns":..,"pairs":..,
+//    "queue_wait_ns":..,"batch_ns":..,"latency_ns":..,
+//    "encode_ns":..,"flush_ns":..,"pairs":..,
 //    "status":"ok"|"shed"|"bad_request","reason":"slow"|"sampled"|"error"}
 //
 // The trace_id is the wire-level id (client-supplied or server-minted),
@@ -55,7 +56,13 @@ struct RequestRecord {
   std::uint64_t batch_context = 0;  // obs context id; 0 = never batched
   std::uint64_t queue_wait_ns = 0;  // admitted -> batch start
   std::uint64_t batch_ns = 0;       // engine time of the coalesced batch
-  std::uint64_t latency_ns = 0;     // admitted -> response enqueued
+  std::uint64_t latency_ns = 0;     // admitted -> batch done
+  // The loop's hold after that: content ready (batch done; admission for
+  // shed/bad_request) -> answer framed, then framed -> its connection's
+  // send() issued. mono_ns + queue_wait_ns + batch_ns + encode_ns +
+  // flush_ns is when the answer was handed to the kernel.
+  std::uint64_t encode_ns = 0;
+  std::uint64_t flush_ns = 0;
   std::uint64_t pairs = 0;
   const char* status = "ok";  // "ok" | "shed" | "bad_request"
   const char* reason = "";    // why it was kept; filled by Record()

@@ -11,6 +11,7 @@
 #ifdef PARAPLL_HAVE_SOCKETS
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -42,6 +43,7 @@ struct ServerMetrics {
       obs::Registry::Global().GetCounter("server.hot_swaps");
   obs::Counter& reload_errors =
       obs::Registry::Global().GetCounter("server.reload_errors");
+  obs::Counter& sends = obs::Registry::Global().GetCounter("server.sends");
   obs::Gauge& connections =
       obs::Registry::Global().GetGauge("server.connections");
   obs::Gauge& queue_depth =
@@ -50,6 +52,16 @@ struct ServerMetrics {
       obs::Registry::Global().GetHistogram("server.request_latency_ns");
   obs::Histogram& queue_wait =
       obs::Registry::Global().GetHistogram("server.queue_wait_ns");
+  // Per-cycle loop stages: recv+decode+admit, the engine batch, framing
+  // the batch's answers, and the flush stage's sends.
+  obs::Histogram& stage_read =
+      obs::Registry::Global().GetHistogram("server.stage.read_ns");
+  obs::Histogram& stage_batch =
+      obs::Registry::Global().GetHistogram("server.stage.batch_ns");
+  obs::Histogram& stage_encode =
+      obs::Registry::Global().GetHistogram("server.stage.encode_ns");
+  obs::Histogram& stage_flush =
+      obs::Registry::Global().GetHistogram("server.stage.flush_ns");
 };
 
 ServerMetrics& Metrics() {
@@ -64,13 +76,19 @@ struct QueryServer::Connection {
   int fd = -1;
   std::uint64_t id = 0;  // accept sequence number, for the request log
   FrameReader reader{kMaxRequestPayload};
-  // Write side: responses append here; FlushTo sends as the socket
-  // accepts, so a slow reader parks bytes instead of stalling the loop.
+  // Write side: a cycle's answers are framed here and the cycle's flush
+  // stage sends them in one Flush; what the socket does not take parks
+  // until POLLOUT, so a slow reader never stalls the loop.
   std::string outbuf;
   std::size_t out_offset = 0;
+  // Request-log records of the answers framed this cycle, committed just
+  // before their send: a client never sees an answer whose record is not
+  // yet in the log.
+  std::vector<RequestRecord> held;
   std::uint64_t last_active_ns = 0;
-  bool closing = false;  // close as soon as outbuf drains
-  bool dead = false;     // fd closed; reaped at end of the iteration
+  bool flush_due = false;  // new answers or POLLOUT this cycle
+  bool closing = false;    // close as soon as outbuf drains
+  bool dead = false;       // fd closed; reaped at end of the iteration
 };
 
 // One admitted DISTANCE_QUERY waiting for the next coalesced batch.
@@ -79,6 +97,7 @@ struct QueryServer::PendingRequest {
   std::uint64_t admitted_ns = 0;
   std::vector<query::QueryPair> pairs;
   std::string trace_id;  // sanitized wire id; never empty once admitted
+  bool batched = false;  // passed validation and rides this cycle's batch
 };
 
 QueryServer::QueryServer(pll::Index index, ServeOptions options)
@@ -107,6 +126,7 @@ ServeStats QueryServer::Stats() const {
   stats.idle_closed = idle_closed_.load();
   stats.hot_swaps = hot_swaps_.load();
   stats.reload_errors = reload_errors_.load();
+  stats.sends = sends_.load();
   return stats;
 }
 
@@ -236,19 +256,30 @@ void QueryServer::CloseConnection(Connection& conn) {
   conn.dead = true;
 }
 
-void QueryServer::EnqueueResponse(Connection& conn, std::string frame) {
+void QueryServer::Answer(Connection& conn, ResponseStatus status,
+                         RequestRecord record,
+                         std::span<const graph::Distance> distances) {
   if (conn.dead) {
     return;
   }
-  if (conn.outbuf.empty()) {
-    conn.outbuf = std::move(frame);
-    conn.out_offset = 0;
-  } else {
-    conn.outbuf += frame;
-  }
+  AppendResponseFrame(conn.outbuf, status, distances, record.trace_id);
+  // The stage fields up to here sum to when the answer's content was
+  // ready: batch done for OK, admission for SHED and BAD_REQUEST.
+  record.encode_ns = obs::TraceNowNs() - (record.mono_ns +
+                                          record.queue_wait_ns +
+                                          record.batch_ns);
+  conn.held.push_back(std::move(record));
+  conn.flush_due = true;
 }
 
-void QueryServer::FlushTo(Connection& conn, std::uint64_t now_ns) {
+void QueryServer::Flush(Connection& conn) {
+  const std::uint64_t now_ns = obs::TraceNowNs();
+  for (RequestRecord& record : conn.held) {
+    record.flush_ns = now_ns - (record.mono_ns + record.queue_wait_ns +
+                                record.batch_ns + record.encode_ns);
+    request_log_.Record(std::move(record));
+  }
+  conn.held.clear();
   if (conn.dead) {
     return;
   }
@@ -256,6 +287,10 @@ void QueryServer::FlushTo(Connection& conn, std::uint64_t now_ns) {
     const ssize_t n =
         util::SendRetry(conn.fd, conn.outbuf.data() + conn.out_offset,
                         conn.outbuf.size() - conn.out_offset);
+    sends_.fetch_add(1);
+    if (obs::MetricsEnabled()) {
+      Metrics().sends.Add(1);
+    }
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         return;  // socket full: the rest goes out on POLLOUT
@@ -289,6 +324,10 @@ void QueryServer::AcceptReady(
       ::close(client);
       continue;
     }
+    // Answers go out as soon as the flush stage sends them, never held
+    // for the client's ACK; one flush per cycle keeps them few segments.
+    const int one = 1;
+    ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto conn = std::make_unique<Connection>();
     conn->fd = client;
     conn->id = ++next_connection_id_;
@@ -318,13 +357,12 @@ void QueryServer::ReadFrom(Connection& conn,
   }
   conn.last_active_ns = now_ns;
   conn.reader.Append(read_buf_.data(), static_cast<std::size_t>(n));
-  std::string payload;
   try {
-    while (!conn.dead && conn.reader.Next(payload)) {
-      Request request = DecodeRequestPayload(payload);
+    while (conn.reader.Next(payload_)) {
+      Request request = DecodeRequestPayload(payload_);
       if (request.type == RequestType::kInfo) {
-        EnqueueResponse(conn, EncodeInfoResponse(InfoSnapshot()));
-        FlushTo(conn, now_ns);
+        conn.outbuf += EncodeInfoResponse(InfoSnapshot());
+        conn.flush_due = true;
         continue;
       }
       requests_.fetch_add(1);
@@ -349,14 +387,11 @@ void QueryServer::ReadFrom(Connection& conn,
         }
         RequestRecord record;
         record.mono_ns = now_ns;
-        record.trace_id = request.trace_id;
+        record.trace_id = std::move(request.trace_id);
         record.connection = conn.id;
         record.pairs = request.pairs.size();
         record.status = "shed";
-        request_log_.Record(std::move(record));
-        EnqueueResponse(conn, EncodeStatusResponse(ResponseStatus::kShed,
-                                                   request.trace_id));
-        FlushTo(conn, now_ns);
+        Answer(conn, ResponseStatus::kShed, std::move(record));
         continue;
       }
       loop_queued_pairs_ += request.pairs.size();
@@ -376,10 +411,8 @@ void QueryServer::ReadFrom(Connection& conn,
     record.mono_ns = now_ns;
     record.connection = conn.id;
     record.status = "bad_request";
-    request_log_.Record(std::move(record));
-    EnqueueResponse(conn, EncodeStatusResponse(ResponseStatus::kBadRequest));
+    Answer(conn, ResponseStatus::kBadRequest, std::move(record));
     conn.closing = true;
-    FlushTo(conn, now_ns);
   }
 }
 
@@ -400,12 +433,15 @@ void QueryServer::DrainPending(std::vector<PendingRequest>& pending) {
       static_cast<graph::VertexId>(served->servable.NumVertices());
 
   // Validate per request so one bad vertex id cannot poison the batch
-  // (QueryBatch throws on any out-of-range id, checked up front).
-  std::vector<bool> valid(pending.size(), false);
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    const PendingRequest& request = pending[i];
-    if (request.conn == nullptr || request.conn->dead) {
+  // (QueryBatch throws on any out-of-range id, checked up front), and
+  // concatenate the rest, remembering which slice each request owns so
+  // the engine can attribute per-shard slow-query records to the wire
+  // trace id. The slices view strings in `pending`, which outlives the
+  // batch call.
+  batch_pairs_.clear();
+  batch_traces_.clear();
+  for (PendingRequest& request : pending) {
+    if (request.conn->dead) {
       continue;  // client vanished while queued; drop silently
     }
     const bool in_range = std::all_of(
@@ -423,52 +459,42 @@ void QueryServer::DrainPending(std::vector<PendingRequest>& pending) {
       record.connection = request.conn->id;
       record.pairs = request.pairs.size();
       record.status = "bad_request";
-      request_log_.Record(std::move(record));
-      EnqueueResponse(*request.conn,
-                      EncodeStatusResponse(ResponseStatus::kBadRequest,
-                                           request.trace_id));
+      Answer(*request.conn, ResponseStatus::kBadRequest, std::move(record));
       continue;
     }
-    valid[i] = true;
-    total += request.pairs.size();
+    request.batched = true;
+    const std::size_t begin = batch_pairs_.size();
+    batch_pairs_.insert(batch_pairs_.end(), request.pairs.begin(),
+                        request.pairs.end());
+    batch_traces_.push_back(query::BatchTraceSlice{
+        begin, batch_pairs_.size(), request.trace_id});
   }
   if (obs::MetricsEnabled()) {
-    Metrics().queue_depth.Set(static_cast<double>(total));
+    Metrics().queue_depth.Set(static_cast<double>(batch_pairs_.size()));
+  }
+  if (batch_traces_.empty()) {
+    return;
   }
 
-  // Concatenate the batch and remember which slice each request owns, so
-  // the engine can attribute per-shard slow-query records to the wire
-  // trace id. The string_views point into `pending`, which outlives the
-  // batch call.
-  std::vector<query::QueryPair> all;
-  all.reserve(total);
-  std::vector<query::BatchTraceSlice> traces;
-  traces.reserve(pending.size());
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    if (valid[i]) {
-      const std::size_t begin = all.size();
-      all.insert(all.end(), pending[i].pairs.begin(), pending[i].pairs.end());
-      traces.push_back(
-          query::BatchTraceSlice{begin, all.size(), pending[i].trace_id});
-    }
-  }
-  std::vector<graph::Distance> out(all.size());
+  batch_out_.resize(batch_pairs_.size());
   const std::uint64_t batch_start_ns = obs::TraceNowNs();
   std::uint64_t batch_context = 0;
-  if (!all.empty()) {
-    batch_context = served->engine.QueryBatchTraced(all, out, traces);
+  if (!batch_pairs_.empty()) {
+    batch_context =
+        served->engine.QueryBatchTraced(batch_pairs_, batch_out_,
+                                        batch_traces_);
   }
-
   const std::uint64_t done_ns = obs::TraceNowNs();
+
+  const std::span<const graph::Distance> answers(batch_out_);
   std::size_t offset = 0;
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    if (!valid[i]) {
+  for (const PendingRequest& request : pending) {
+    if (!request.batched) {
       continue;
     }
-    PendingRequest& request = pending[i];
     const std::size_t count = request.pairs.size();
-    // Book-keep before FlushTo makes the response externally visible: a
-    // client may act on the answer (e.g. read Stats()) the instant the
+    // Book-keep before the flush stage makes the answer externally
+    // visible: a client may act on it (e.g. read Stats()) the instant the
     // bytes land.
     answered_pairs_.fetch_add(count);
     if (obs::MetricsEnabled()) {
@@ -484,12 +510,13 @@ void QueryServer::DrainPending(std::vector<PendingRequest>& pending) {
     record.batch_ns = done_ns - batch_start_ns;
     record.latency_ns = done_ns - request.admitted_ns;
     record.pairs = count;
-    request_log_.Record(std::move(record));
-    EnqueueResponse(*request.conn,
-                    EncodeOkResponse(std::span(out).subspan(offset, count),
-                                     request.trace_id));
-    FlushTo(*request.conn, done_ns);
+    Answer(*request.conn, ResponseStatus::kOk, std::move(record),
+           answers.subspan(offset, count));
     offset += count;
+  }
+  if (obs::MetricsEnabled()) {
+    Metrics().stage_batch.Record(done_ns - batch_start_ns);
+    Metrics().stage_encode.Record(obs::TraceNowNs() - done_ns);
   }
 }
 
@@ -513,8 +540,9 @@ void QueryServer::EventLoop(int listen_fd) {
       }
       pfds.push_back(pollfd{conn->fd, events, 0});
     }
-    if (util::PollRetry(pfds.data(), static_cast<nfds_t>(pfds.size()), 50) <
-        0) {
+    const int ready =
+        util::PollRetry(pfds.data(), static_cast<nfds_t>(pfds.size()), 50);
+    if (ready < 0) {
       continue;  // transient poll failure: re-check running_
     }
     const std::uint64_t now = obs::TraceNowNs();
@@ -536,12 +564,30 @@ void QueryServer::EventLoop(int listen_fd) {
       if ((revents & (POLLIN | POLLHUP)) != 0) {
         ReadFrom(conn, pending, now);
       }
-      if (!conn.dead && (revents & POLLOUT) != 0) {
-        FlushTo(conn, now);
+      if ((revents & POLLOUT) != 0) {
+        conn.flush_due = true;  // a parked partial write can move on
       }
+    }
+    const bool metrics = obs::MetricsEnabled();
+    if (metrics && ready > 0) {
+      Metrics().stage_read.Record(obs::TraceNowNs() - now);
     }
     DrainPending(pending);
     pending.clear();
+    // Flush stage: one Flush per connection with new answers (or room
+    // for a parked write), after every answer of the cycle is framed.
+    const std::uint64_t flush_start_ns = metrics ? obs::TraceNowNs() : 0;
+    bool flushed = false;
+    for (const auto& conn : conns) {
+      if (conn->flush_due) {
+        conn->flush_due = false;
+        Flush(*conn);
+        flushed = true;
+      }
+    }
+    if (metrics && flushed) {
+      Metrics().stage_flush.Record(obs::TraceNowNs() - flush_start_ns);
+    }
     const std::uint64_t idle_ns =
         static_cast<std::uint64_t>(std::max(options_.idle_timeout_ms, 0)) *
         1'000'000ULL;
@@ -681,8 +727,9 @@ void QueryServer::AcceptReady(int, std::vector<std::unique_ptr<Connection>>&) {
 void QueryServer::ReadFrom(Connection&, std::vector<PendingRequest>&,
                            std::uint64_t) {}
 void QueryServer::DrainPending(std::vector<PendingRequest>&) {}
-void QueryServer::EnqueueResponse(Connection&, std::string) {}
-void QueryServer::FlushTo(Connection&, std::uint64_t) {}
+void QueryServer::Answer(Connection&, ResponseStatus, RequestRecord,
+                         std::span<const graph::Distance>) {}
+void QueryServer::Flush(Connection&) {}
 void QueryServer::CloseConnection(Connection&) {}
 QueryServer::FileStamp QueryServer::StampOf(const std::string&) {
   return {};

@@ -16,6 +16,12 @@
 //     QueryEngine::QueryBatch call on the current engine snapshot, and
 //     the per-request slices are framed back to their connections.
 //     Answers are bit-identical to calling QueryBatch directly.
+//   * Write side: every answer of a cycle (OK, SHED, BAD_REQUEST, INFO)
+//     is only appended to its connection's outbuf; the cycle ends with
+//     one flush per connection. Accepted sockets set TCP_NODELAY, so an
+//     answer is never held for the client's ACK, and the single flush
+//     keeps k answers to one connection in one send instead of k
+//     segments.
 //   * Hot index reload: when options.watch_path is set, the watcher
 //     polls the artifact's stat identity (mtime/size/inode — the build
 //     pipeline publishes via tmp+rename, so the inode changes), reloads
@@ -33,13 +39,15 @@
 //     sheds, served-snapshot age).
 //
 // Metrics land under "server.*" when obs metrics are enabled (schema in
-// EXPERIMENTS.md); Stats() exposes the same counts unconditionally for
-// tests and the CLI.
+// EXPERIMENTS.md), including per-cycle loop-stage histograms
+// (server.stage.{read,batch,encode,flush}_ns); Stats() exposes the same
+// counts unconditionally for tests and the CLI.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -98,6 +106,7 @@ struct ServeStats {
   std::uint64_t idle_closed = 0;     // connections closed by idle timeout
   std::uint64_t hot_swaps = 0;       // successful engine flips
   std::uint64_t reload_errors = 0;   // watcher load/validate failures
+  std::uint64_t sends = 0;           // send() calls on client sockets
 };
 
 class QueryServer {
@@ -175,8 +184,14 @@ class QueryServer {
   void ReadFrom(Connection& conn, std::vector<PendingRequest>& pending,
                 std::uint64_t now_ns);
   void DrainPending(std::vector<PendingRequest>& pending);
-  static void EnqueueResponse(Connection& conn, std::string frame);
-  static void FlushTo(Connection& conn, std::uint64_t now_ns);
+  // Frames one answer into conn's outbuf and holds its request-log record
+  // until the cycle's flush stage.
+  static void Answer(Connection& conn, ResponseStatus status,
+                     RequestRecord record,
+                     std::span<const graph::Distance> distances = {});
+  // The flush stage for one connection: commits its held records, then
+  // sends its outbuf as far as the socket takes it.
+  void Flush(Connection& conn);
   static void CloseConnection(Connection& conn);
 
   [[nodiscard]] ServerInfo InfoSnapshot() const;
@@ -209,6 +224,7 @@ class QueryServer {
   std::atomic<std::uint64_t> idle_closed_{0};
   std::atomic<std::uint64_t> hot_swaps_{0};
   std::atomic<std::uint64_t> reload_errors_{0};
+  std::atomic<std::uint64_t> sends_{0};
 
   // Mirror of loop_queued_pairs_ readable off the event-loop thread (the
   // INFO frame is answered inline, but /healthz reads from the
@@ -217,7 +233,14 @@ class QueryServer {
 
   RequestLog request_log_;
 
-  std::vector<char> read_buf_;  // event-loop scratch, sized once
+  // Event-loop scratch, reused across cycles: the recv buffer (sized
+  // once), the decoded payload, and the coalesced batch's pairs, trace
+  // slices and answers.
+  std::vector<char> read_buf_;
+  std::string payload_;
+  std::vector<query::QueryPair> batch_pairs_;
+  std::vector<query::BatchTraceSlice> batch_traces_;
+  std::vector<graph::Distance> batch_out_;
   // Pairs admitted but not yet drained this coalescing cycle; event-loop
   // thread only (the admission decision and the drain share that thread).
   std::size_t loop_queued_pairs_ = 0;

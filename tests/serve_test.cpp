@@ -11,6 +11,8 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <map>
 #include <span>
 #include <sstream>
 #include <stdexcept>
@@ -136,6 +138,103 @@ TEST(ServeFrame, ReaderReassemblesByteAtATime) {
   EXPECT_EQ(decoded[1].type, RequestType::kInfo);
 }
 
+// FrameReader pops frames by advancing an offset and compacts once per
+// Append. However the stream is cut (all at once, split at any byte, or
+// fed in uneven chunks with Next between them), it must yield the same
+// frames in order, and BufferedBytes must count exactly the bytes not yet
+// popped.
+TEST(ServeFrame, ReaderPopsManyFramesPerAppendAndAnySplit) {
+  std::string stream;
+  std::vector<std::size_t> frame_ends;
+  std::vector<Request> want;
+  for (std::uint32_t k = 0; k < 40; ++k) {
+    if (k % 7 == 3) {
+      stream += EncodeInfoRequest();
+      want.push_back(Request{RequestType::kInfo, {}, {}});
+    } else {
+      std::vector<QueryPair> pairs;
+      for (std::uint32_t i = 0; i < k % 5; ++i) {
+        pairs.emplace_back(k, i);
+      }
+      const std::string trace = k % 2 == 0 ? "f-" + std::to_string(k) : "";
+      stream += EncodeDistanceRequest(pairs, trace);
+      want.push_back(Request{RequestType::kDistanceQuery, pairs, trace});
+    }
+    frame_ends.push_back(stream.size());
+  }
+  // Pops every complete frame, checking each against `want` and the
+  // buffered count against the bytes appended so far.
+  auto drain = [&](FrameReader& reader, std::size_t appended,
+                   std::size_t& popped) {
+    std::string payload;
+    while (reader.Next(payload)) {
+      ASSERT_LT(popped, want.size());
+      const Request got = DecodeRequestPayload(payload);
+      EXPECT_EQ(got.type, want[popped].type) << "frame " << popped;
+      EXPECT_EQ(got.pairs, want[popped].pairs) << "frame " << popped;
+      EXPECT_EQ(got.trace_id, want[popped].trace_id) << "frame " << popped;
+      EXPECT_EQ(reader.BufferedBytes(), appended - frame_ends[popped]);
+      ++popped;
+    }
+    EXPECT_EQ(reader.BufferedBytes(),
+              appended - (popped == 0 ? 0 : frame_ends[popped - 1]));
+  };
+
+  {  // Every frame in one Append.
+    FrameReader reader(kMaxRequestPayload);
+    reader.Append(stream.data(), stream.size());
+    EXPECT_EQ(reader.BufferedBytes(), stream.size());
+    std::size_t popped = 0;
+    drain(reader, stream.size(), popped);
+    EXPECT_EQ(popped, want.size());
+    EXPECT_EQ(reader.BufferedBytes(), 0u);
+  }
+  for (std::size_t cut = 0; cut <= stream.size(); ++cut) {
+    SCOPED_TRACE(cut);
+    FrameReader reader(kMaxRequestPayload);
+    std::size_t popped = 0;
+    reader.Append(stream.data(), cut);
+    drain(reader, cut, popped);
+    reader.Append(stream.data() + cut, stream.size() - cut);
+    drain(reader, stream.size(), popped);
+    ASSERT_EQ(popped, want.size());
+  }
+  {  // Uneven chunks, Next between appends.
+    FrameReader reader(kMaxRequestPayload);
+    std::size_t popped = 0;
+    std::size_t appended = 0;
+    for (std::size_t chunk = 1; appended < stream.size();
+         chunk = chunk * 3 % 61 + 1) {
+      const std::size_t n = std::min(chunk, stream.size() - appended);
+      reader.Append(stream.data() + appended, n);
+      appended += n;
+      drain(reader, appended, popped);
+    }
+    EXPECT_EQ(popped, want.size());
+  }
+}
+
+// The payload cap is checked on the length prefix itself, before the
+// reader waits for (or buffers toward) the declared bytes — also when the
+// prefix follows popped frames or arrives split across appends.
+TEST(ServeFrame, ReaderRejectsOversizeLengthAfterPoppedFrames) {
+  const std::string valid = EncodeInfoRequest();
+  const std::uint32_t declared = kMaxRequestPayload + 1;
+  char prefix[4];
+  std::memcpy(prefix, &declared, sizeof(prefix));
+  FrameReader reader(kMaxRequestPayload);
+  std::string payload;
+  reader.Append(valid.data(), valid.size());
+  reader.Append(valid.data(), valid.size());
+  ASSERT_TRUE(reader.Next(payload));
+  reader.Append(prefix, 2);
+  ASSERT_TRUE(reader.Next(payload));
+  EXPECT_FALSE(reader.Next(payload));
+  reader.Append(prefix + 2, 2);
+  EXPECT_EQ(reader.BufferedBytes(), 4u);
+  EXPECT_THROW((void)reader.Next(payload), std::runtime_error);
+}
+
 TEST(ServeFrame, OversizedPairCountThrows) {
   std::vector<QueryPair> pairs(kMaxPairsPerRequest + 1, {0, 0});
   EXPECT_THROW((void)EncodeDistanceRequest(pairs), std::invalid_argument);
@@ -176,17 +275,17 @@ class RawClient {
   }
 
   // Reads one complete response payload, `chunk` bytes at a time with a
-  // short pause between reads — a deliberately slow reader.
+  // short pause between reads — a deliberately slow reader. Bytes past
+  // that response stay buffered for the next call.
   Response ReadSlowly(std::size_t chunk) {
-    FrameReader reader(kMaxResponsePayload);
     std::string payload;
     std::vector<char> buf(chunk);
-    while (!reader.Next(payload)) {
+    while (!reader_.Next(payload)) {
       const ssize_t n = util::RecvRetry(fd_, buf.data(), buf.size());
       if (n <= 0) {
         throw std::runtime_error("raw client: connection closed");
       }
-      reader.Append(buf.data(), static_cast<std::size_t>(n));
+      reader_.Append(buf.data(), static_cast<std::size_t>(n));
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
     return DecodeResponsePayload(payload);
@@ -194,6 +293,7 @@ class RawClient {
 
  private:
   int fd_ = -1;
+  FrameReader reader_{kMaxResponsePayload};
 };
 
 struct MatrixCase {
@@ -385,6 +485,58 @@ TEST(QueryServerTest, OverBudgetRequestShedsExplicitly) {
   const ServeStats stats = server.Stats();
   EXPECT_EQ(stats.shed, 1u);
   EXPECT_EQ(stats.answered_pairs, 4u);
+  server.Stop();
+}
+
+// Answers of one loop cycle leave in one send per connection: 32
+// pipelined one-pair requests read in one cycle against a 24-pair budget
+// get 24 OK and 8 SHED answers, each with its trace id, and the loop
+// makes at most two send() calls for them, not one per answer.
+TEST(QueryServerTest, PipelinedAnswersOfOneCycleShareOneSend) {
+  const Graph g = graph::ErdosRenyi(60, 150, {WeightModel::kUniform, 9}, 3);
+  pll::Index index = BuildTestIndex(g);
+  query::QueryEngine direct(index, {});
+  ServeOptions options;
+  options.max_queued_pairs = 24;
+  QueryServer server(index, options);
+  server.Start();
+
+  constexpr std::size_t kRequests = 32;
+  const auto pairs = RandomPairs(g.NumVertices(), kRequests, 41);
+  const std::vector<graph::Distance> want = direct.QueryBatch(pairs);
+  std::string frames;
+  for (std::size_t k = 0; k < kRequests; ++k) {
+    frames += EncodeDistanceRequest(std::span(pairs).subspan(k, 1),
+                                    "p-" + std::to_string(k));
+  }
+  RawClient raw(server.Port());
+  const std::uint64_t sends_before = server.Stats().sends;
+  raw.Send(frames);
+
+  std::map<std::string, Response> answers;
+  for (std::size_t k = 0; k < kRequests; ++k) {
+    Response response = raw.ReadSlowly(4096);
+    const std::string trace = response.trace_id;
+    EXPECT_TRUE(answers.emplace(trace, std::move(response)).second)
+        << "duplicate answer for " << trace;
+  }
+  std::size_t ok = 0;
+  std::size_t shed = 0;
+  for (std::size_t k = 0; k < kRequests; ++k) {
+    const auto it = answers.find("p-" + std::to_string(k));
+    ASSERT_NE(it, answers.end()) << "no answer for request " << k;
+    if (it->second.status == ResponseStatus::kOk) {
+      ++ok;
+      ASSERT_EQ(it->second.distances.size(), 1u);
+      EXPECT_EQ(it->second.distances[0], want[k]) << "request " << k;
+    } else {
+      EXPECT_EQ(it->second.status, ResponseStatus::kShed);
+      ++shed;
+    }
+  }
+  EXPECT_EQ(ok, 24u);
+  EXPECT_EQ(shed, 8u);
+  EXPECT_LE(server.Stats().sends - sends_before, 2u);
   server.Stop();
 }
 

@@ -2,7 +2,8 @@
 # End-to-end smoke test for the parapll_serve daemon: generate -> build ->
 # serve --watch, then drive it with serve-bench (answered traffic, with
 # client trace ids), check the tracing pipeline (trace id echoed into the
-# wide-event request log, the slow-query log, and /debug/requests), watch
+# wide-event request log, the slow-query log, and /debug/requests), check
+# the loop-stage histograms and send count on /metrics, watch
 # the windowed server.window.* gauges move between /metrics scrapes, force
 # explicit shedding against a tiny admission budget, republish the index
 # under live load and observe the hot swap, and finally SIGTERM the daemon
@@ -102,8 +103,13 @@ grep -q "\"trace_id\":\"$TRACE\"" "$WORK/slow.jsonl" || {
 http_get "$STATS_PORT" /debug/requests "$WORK/debug_requests.json"
 grep -q "\"trace_id\":\"smoke7-" "$WORK/debug_requests.json" || {
   echo "no smoke7 trace ids in /debug/requests" >&2; exit 1; }
-# Request-log records carry the coalesced batch's context id.
+# Request-log records carry the coalesced batch's context id, and the
+# loop's hold after the batch: encode (answer framed) and flush (send).
 grep -q '"batch":"query_batch/' "$WORK/requests.jsonl"
+for field in encode_ns flush_ns; do
+  grep -q "\"$field\":[0-9]" "$WORK/debug_requests.json" || {
+    echo "/debug/requests records carry no $field" >&2; exit 1; }
+done
 
 # --- windowed gauges move between scrapes --------------------------------
 http_get "$STATS_PORT" /metrics "$WORK/metrics_scrape1.txt"
@@ -112,6 +118,16 @@ for name in parapll_server_window_p50_ms parapll_server_window_p99_ms \
             parapll_server_window_slo_burn_rate; do
   [ -n "$(metric_value "$WORK/metrics_scrape1.txt" "$name")" ] || {
     echo "windowed gauge $name missing from /metrics" >&2; exit 1; }
+done
+# The loop explains its own latency: per-cycle stage histograms and the
+# send() count, all fed by the load step above.
+for name in parapll_server_stage_read_ns_count \
+            parapll_server_stage_batch_ns_count \
+            parapll_server_stage_encode_ns_count \
+            parapll_server_stage_flush_ns_count parapll_server_sends; do
+  VALUE="$(metric_value "$WORK/metrics_scrape1.txt" "$name")"
+  [ -n "$VALUE" ] && [ "$VALUE" -gt 0 ] || {
+    echo "$name missing or zero on /metrics" >&2; exit 1; }
 done
 # /healthz reports live serving saturation.
 http_get "$STATS_PORT" /healthz "$WORK/healthz.json"
