@@ -43,6 +43,7 @@ int Run(int argc, char** argv) {
             build::Run(d.graph, {.mode = build::BuildMode::kParallel,
                                  .threads = static_cast<std::size_t>(threads),
                                  .policy = parallel::AssignmentPolicy::kDynamic,
+                                 .ordering = kPaperOrdering,
                                  .lock_mode = mode});
         const pll::Index& index = result.artifact.index;
         if (reference_entries == 0) {

@@ -38,7 +38,8 @@ int Run(int argc, char** argv) {
                      "max/min node compute"});
   for (const auto& d : datasets) {
     const double seconds_per_unit =
-        build::CalibrateSecondsPerUnit(d.graph, vtime::CostModel{});
+        build::CalibrateSecondsPerUnit(d.graph, kPaperOrdering,
+                                       vtime::CostModel{});
     for (const auto ownership :
          {cluster::OwnershipPolicy::kRoundRobin,
           cluster::OwnershipPolicy::kBlock,
@@ -47,6 +48,7 @@ int Run(int argc, char** argv) {
           build::Run(d.graph, {.mode = build::BuildMode::kCluster,
                                .nodes = nodes,
                                .sync_count = sync,
+                               .ordering = kPaperOrdering,
                                .ownership = ownership});
       const double max_compute =
           *std::max_element(result.node_compute_units.begin(),

@@ -48,10 +48,12 @@ int Run(int argc, char** argv) {
     PrintDatasetHeader(d);
 
     const auto serial_series =
-        TraceToSeries(build::Run(d.graph, {.record_trace = true}));
+        TraceToSeries(build::Run(
+            d.graph, {.ordering = kPaperOrdering, .record_trace = true}));
     build::BuildPlan simulated{.mode = build::BuildMode::kSimulated,
                                .threads = workers,
                                .policy = parallel::AssignmentPolicy::kStatic,
+                               .ordering = kPaperOrdering,
                                .record_trace = true};
     const auto static_series =
         TraceToSeries(build::Run(d.graph, simulated));

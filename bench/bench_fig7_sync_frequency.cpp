@@ -43,7 +43,8 @@ int Run(int argc, char** argv) {
   for (const auto& d : datasets) {
     PrintDatasetHeader(d);
     const double seconds_per_unit =
-        build::CalibrateSecondsPerUnit(d.graph, vtime::CostModel{});
+        build::CalibrateSecondsPerUnit(d.graph, kPaperOrdering,
+                                       vtime::CostModel{});
 
     util::Table table({"c (syncs)", "IT(s)", "LN", "comm(s)", "compute(s)",
                        "comm %", "entries exchanged", "fabric bytes"});
@@ -52,7 +53,8 @@ int Run(int argc, char** argv) {
           build::Run(d.graph, {.mode = build::BuildMode::kCluster,
                                .threads = workers,
                                .nodes = nodes,
-                               .sync_count = c});
+                               .sync_count = c,
+                               .ordering = kPaperOrdering});
       table.Row()
           .Cell(static_cast<std::uint64_t>(c))
           .Cell(result.makespan_units * seconds_per_unit, 3)

@@ -35,7 +35,7 @@ int Run(int argc, char** argv) {
   util::Table table({"Dataset", "method", "entries", "exact %",
                      "mean rel err", "max rel err"});
   for (const auto& d : datasets) {
-    const auto serial = build::Run(d.graph, {});
+    const auto serial = build::Run(d.graph, {.ordering = kPaperOrdering});
     table.Row()
         .Cell(d.spec.name)
         .Cell("PLL (exact)")

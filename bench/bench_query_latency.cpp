@@ -5,6 +5,7 @@
 
 #include <sstream>
 
+#include "common.hpp"
 #include "baseline/bidirectional_dijkstra.hpp"
 #include "baseline/dijkstra.hpp"
 #include "build/pipeline.hpp"
@@ -25,7 +26,8 @@ const Workload& SharedWorkload() {
   static const Workload workload = [] {
     Workload w;
     w.graph = graph::MakeDatasetByName("Epinions", 0.02, 1);
-    w.index = build::Run(w.graph, {}).artifact.index;
+    w.index =
+        build::Run(w.graph, {.ordering = kPaperOrdering}).artifact.index;
     util::Rng rng(7);
     for (int i = 0; i < 1024; ++i) {
       w.pairs.emplace_back(
@@ -81,7 +83,7 @@ BENCHMARK(BM_KnnQuery)->Arg(10)->Arg(100);
 void BM_IndexConstructionSerial(benchmark::State& state) {
   const auto g = graph::MakeDatasetByName("Wiki-Vote", 0.02, 1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(build::Run(g, {}));
+    benchmark::DoNotOptimize(build::Run(g, {.ordering = kPaperOrdering}));
   }
 }
 BENCHMARK(BM_IndexConstructionSerial)->Unit(benchmark::kMillisecond);

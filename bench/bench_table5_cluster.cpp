@@ -48,7 +48,8 @@ int Run(int argc, char** argv) {
     PrintDatasetHeader(d);
     // Calibrate virtual units to seconds with one real serial run.
     const double seconds_per_unit =
-        build::CalibrateSecondsPerUnit(d.graph, vtime::CostModel{});
+        build::CalibrateSecondsPerUnit(d.graph, kPaperOrdering,
+                                       vtime::CostModel{});
 
     table.Row().Cell(d.spec.name);
     std::vector<double> dynamic_ln;
@@ -61,7 +62,8 @@ int Run(int argc, char** argv) {
                                  .threads = workers,
                                  .nodes = static_cast<std::size_t>(q),
                                  .sync_count = sync,
-                                 .policy = policy});
+                                 .policy = policy,
+                                 .ordering = kPaperOrdering});
         const double ln = result.artifact.index.AvgLabelSize();
         if (q == 1) {
           base_makespan = result.makespan_units;

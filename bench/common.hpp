@@ -160,4 +160,9 @@ inline std::vector<int> PaperThreadCounts() { return {1, 2, 4, 6, 8, 10, 12}; }
 // Node counts of paper Table 5.
 inline std::vector<int> PaperNodeCounts() { return {1, 2, 3, 4, 5, 6}; }
 
+// The paper's computing sequence (§4.2). Builds default to ψ × degree,
+// so the benches that reproduce the paper's tables and figures pin this.
+inline constexpr pll::OrderingPolicy kPaperOrdering =
+    pll::OrderingPolicy::kDegree;
+
 }  // namespace parapll::bench

@@ -7,7 +7,8 @@
 // schedule — and hence SP and LN — is reproducible on this one-core
 // machine; IT(s) for one thread is real wall time and the calibration of
 // virtual units to seconds comes from that same run
-// (build::CalibrateSecondsPerUnit).
+// (build::CalibrateSecondsPerUnit). Every build uses the paper's degree
+// order (kPaperOrdering).
 #pragma once
 
 #include "common.hpp"
@@ -50,7 +51,7 @@ inline int RunTable34(parallel::AssignmentPolicy policy, const char* table_id,
     // Serial PLL baseline (real wall time) — the "PLL" column.
     double serial_seconds = 0.0;
     const double seconds_per_unit = build::CalibrateSecondsPerUnit(
-        d.graph, vtime::CostModel{}, &serial_seconds);
+        d.graph, kPaperOrdering, vtime::CostModel{}, &serial_seconds);
 
     std::vector<double> makespans;
     std::vector<double> label_sizes;
@@ -58,7 +59,8 @@ inline int RunTable34(parallel::AssignmentPolicy policy, const char* table_id,
       const auto result =
           build::Run(d.graph, {.mode = build::BuildMode::kSimulated,
                                .threads = static_cast<std::size_t>(p),
-                               .policy = policy});
+                               .policy = policy,
+                               .ordering = kPaperOrdering});
       const double ln = result.artifact.index.AvgLabelSize();
       makespans.push_back(result.makespan_units);
       label_sizes.push_back(ln);

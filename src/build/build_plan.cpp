@@ -6,6 +6,7 @@
 
 #include "build/artifact.hpp"
 #include "util/check.hpp"
+#include "util/timer.hpp"
 
 namespace parapll::build {
 
@@ -60,12 +61,14 @@ BuildContext Resolve(const graph::Graph& g, const BuildPlan& plan) {
   BuildContext context;
   context.graph_fingerprint = graph::Fingerprint(g);
   context.num_edges = g.NumEdges();
+  const util::WallTimer order_timer;
   if (!plan.resume_dir.empty()) {
     // The checkpoint dictates the rank space: its order was computed by
     // the interrupted run, and the finalized label prefix only makes sense
     // under exactly that permutation. The plan's ordering/seed are
-    // ignored. LoadFor has already verified the fingerprint, so the
-    // checkpoint really is a prefix of a build of `g`.
+    // ignored, and the manifest keeps the checkpoint's. LoadFor has
+    // already verified the fingerprint, so the checkpoint really is a
+    // prefix of a build of `g`.
     IndexArtifact artifact =
         IndexArtifact::LoadFor(plan.resume_dir + "/checkpoint.bin", g);
     const pll::BuildManifest& manifest = artifact.Manifest();
@@ -87,11 +90,20 @@ BuildContext Resolve(const graph::Graph& g, const BuildPlan& plan) {
     }
     context.seed_totals = manifest.totals;
     context.seed_wall_seconds = manifest.wall_seconds;
+    context.ordering = manifest.ordering;
+    context.seed = manifest.seed;
     context.order = artifact.index.Order();
   } else {
-    context.order = pll::ComputeOrder(g, plan.ordering, plan.seed);
+    const std::size_t threads =
+        plan.mode == BuildMode::kParallel ? plan.threads : 1;
+    context.ordering = pll::ToString(plan.ordering);
+    context.seed = plan.seed;
+    context.order = pll::ComputeOrder(g, plan.ordering, plan.seed, threads);
   }
+  context.order_seconds = order_timer.Seconds();
+  const util::WallTimer rank_space_timer;
   context.rank_graph = pll::ToRankSpace(g, context.order);
+  context.rank_space_seconds = rank_space_timer.Seconds();
   return context;
 }
 
@@ -102,7 +114,7 @@ pll::BuildManifest MakeManifest(const BuildPlan& plan,
   manifest.num_vertices = context.order.size();
   manifest.num_edges = context.num_edges;
   manifest.mode = ToString(plan.mode);
-  manifest.ordering = pll::ToString(plan.ordering);
+  manifest.ordering = context.ordering;
   manifest.policy = parallel::ToString(plan.policy);
   manifest.threads = static_cast<std::uint32_t>(
       plan.mode == BuildMode::kSerial ? 1 : plan.threads);
@@ -110,7 +122,7 @@ pll::BuildManifest MakeManifest(const BuildPlan& plan,
       plan.mode == BuildMode::kCluster ? plan.nodes : 1);
   manifest.sync_count = static_cast<std::uint32_t>(
       plan.mode == BuildMode::kCluster ? plan.sync_count : 1);
-  manifest.seed = plan.seed;
+  manifest.seed = context.seed;
   // Build-progress fields start from the resume seed (zero on a fresh
   // build); the pipeline and the checkpointer advance them.
   manifest.roots_completed = context.start_rank;

@@ -45,7 +45,8 @@ struct BuildPlan {
   std::size_t nodes = 1;       // q (kCluster)
   std::size_t sync_count = 1;  // c (kCluster)
   parallel::AssignmentPolicy policy = parallel::AssignmentPolicy::kDynamic;
-  pll::OrderingPolicy ordering = pll::OrderingPolicy::kDegree;
+  // ψ × degree by default; the paper benches pin kDegree (paper §4.2).
+  pll::OrderingPolicy ordering = pll::OrderingPolicy::kPathDegree;
   parallel::LockMode lock_mode = parallel::LockMode::kStriped;
   cluster::OwnershipPolicy ownership = cluster::OwnershipPolicy::kRoundRobin;
   vtime::CostModel cost{};
@@ -60,8 +61,9 @@ struct BuildPlan {
   graph::VertexId checkpoint_every = 0;
   std::string checkpoint_dir{};
   // Continue a build from the checkpoint in this directory. The plan's
-  // ordering/seed are ignored in favor of the checkpointed order, so the
-  // resumed run works in the identical rank space.
+  // ordering/seed are ignored in favor of the checkpointed order (and the
+  // manifest records the checkpoint's), so the resumed run works in the
+  // identical rank space.
   std::string resume_dir{};
   // Test/ops hook: stop claiming new roots after this many have finished
   // (0 = run to completion). The build ends cleanly with
@@ -75,6 +77,14 @@ struct BuildContext {
   std::vector<graph::VertexId> order;  // rank -> original vertex id
   std::uint64_t graph_fingerprint = 0;
   std::uint64_t num_edges = 0;
+  // Where `order` came from, for the manifest: the plan's policy and seed
+  // on a fresh build, the checkpoint manifest's on resume.
+  std::string ordering;
+  std::uint64_t seed = 0;
+  // Wall seconds of computing (or recovering) the order and of relabelling
+  // the graph into rank space.
+  double order_seconds = 0.0;
+  double rank_space_seconds = 0.0;
 
   // Resume state (empty / zero for a fresh build): every root with rank
   // < start_rank is already fully indexed in seed_rows.
@@ -87,13 +97,16 @@ struct BuildContext {
 };
 
 // Computes (or, on resume, recovers) the ordering and rank-space graph and
-// validates the plan. Throws std::runtime_error on an invalid plan, a
-// missing/corrupt checkpoint, or a checkpoint that does not match `g`.
+// validates the plan. A kParallel plan samples the order on plan.threads
+// threads, every other mode on one; the order is the same either way.
+// Throws std::runtime_error on an invalid plan, a missing/corrupt
+// checkpoint, or a checkpoint that does not match `g`.
 BuildContext Resolve(const graph::Graph& g, const BuildPlan& plan);
 
 // The provenance stub every artifact of this build starts from: graph
-// identity plus the plan's knobs. roots_completed / totals / wall_seconds
-// are filled in by the checkpointer and the pipeline as the build runs.
+// identity, where the order came from, plus the plan's knobs.
+// roots_completed / totals / wall_seconds are filled in by the
+// checkpointer and the pipeline as the build runs.
 pll::BuildManifest MakeManifest(const BuildPlan& plan,
                                 const BuildContext& context);
 

@@ -25,10 +25,14 @@ namespace parapll::build {
 
 namespace {
 
-// Publishes the per-thread load-balance picture into the registry once
-// per build (names like "indexer.thread.3.busy_seconds").
+// Publishes the build's stage seconds and the per-thread load-balance
+// picture into the registry once per build (names like
+// "build.order_s" and "indexer.thread.3.busy_seconds").
 void RecordBuildMetrics(const BuildOutcome& outcome) {
   auto& registry = obs::Registry::Global();
+  registry.GetGauge("build.order_s").Set(outcome.order_seconds);
+  registry.GetGauge("build.rank_space_s").Set(outcome.rank_space_seconds);
+  registry.GetGauge("build.finalize_s").Set(outcome.finalize_seconds);
   registry.GetGauge("indexer.wall_seconds").Set(outcome.wall_seconds);
   registry.GetGauge("indexer.avg_utilization").Set(outcome.AvgUtilization());
   registry.GetCounter("indexer.builds").Add(1);
@@ -42,6 +46,15 @@ void RecordBuildMetrics(const BuildOutcome& outcome) {
     registry.GetGauge(prefix + ".roots_processed")
         .Set(static_cast<double>(report.roots_processed));
   }
+}
+
+// Runs `finalize` (built labels -> LabelStore) and books its wall time.
+template <typename Finalize>
+pll::LabelStore TimedFinalize(BuildOutcome& outcome, Finalize&& finalize) {
+  const util::WallTimer timer;
+  pll::LabelStore store = finalize();
+  outcome.finalize_seconds = timer.Seconds();
+  return store;
 }
 
 // One threaded drain over the plan's remaining root range, with
@@ -111,13 +124,16 @@ pll::LabelStore RunSerial(const BuildPlan& plan, BuildContext& context,
   const ThreadedDrain drain =
       DrainThreaded(plan, context, manifest, labels, 1);
   FillThreadedOutcome(drain, manifest, outcome);
-  return drain.complete
-             ? pll::LabelStore::FromMutable(labels)
-             : pll::LabelStore::FromRows(labels.SnapshotRows(drain.frontier));
+  return TimedFinalize(outcome, [&] {
+    return drain.complete
+               ? pll::LabelStore::FromMutable(labels)
+               : pll::LabelStore::FromRows(
+                     labels.SnapshotRows(drain.frontier));
+  });
 }
 
 // Intra-node ParaPLL (paper §4.3–4.4): the task manager hands roots in
-// descending-degree rank order to p real threads under the static or
+// rank order to p real threads under the static or
 // dynamic policy, and every worker runs Pruned Dijkstra against the shared
 // ConcurrentLabelStore. Relaxed label visibility can add redundant labels
 // but never wrong ones (paper Proposition 1); `pll::VerifySampled` is the
@@ -153,14 +169,12 @@ pll::LabelStore RunParallel(const BuildPlan& plan, BuildContext& context,
         .Set(static_cast<double>(labels.MemoryBytes()));
   }
   memory_probe.reset();
-  pll::LabelStore store =
-      drain.complete
-          ? labels.TakeFinalized()
-          : pll::LabelStore::FromRows(labels.SnapshotRows(drain.frontier));
-  if (metrics) {
-    RecordBuildMetrics(outcome);
-  }
-  return store;
+  return TimedFinalize(outcome, [&] {
+    return drain.complete
+               ? labels.TakeFinalized()
+               : pll::LabelStore::FromRows(
+                     labels.SnapshotRows(drain.frontier));
+  });
 }
 
 // Deterministic virtual-time simulation of intra-node ParaPLL: p workers
@@ -208,7 +222,7 @@ pll::LabelStore RunSimulated(const BuildPlan& plan,
   outcome.worker_units = clocks;
   outcome.makespan_units =
       *std::max_element(clocks.begin(), clocks.end());
-  return labels.Finalize();
+  return TimedFinalize(outcome, [&] { return labels.Finalize(); });
 }
 
 // Forwards the Labels concept to a SimLabelView while logging appends into
@@ -386,7 +400,8 @@ pll::LabelStore RunCluster(const BuildPlan& plan, const BuildContext& context,
     registry.GetGauge("cluster.comm_units").Set(outcome.comm_units);
   }
   PARAPLL_CHECK(outcomes[0].labels != nullptr);
-  return outcomes[0].labels->Finalize();
+  return TimedFinalize(outcome,
+                       [&] { return outcomes[0].labels->Finalize(); });
 }
 
 }  // namespace
@@ -395,6 +410,8 @@ BuildOutcome Run(const graph::Graph& g, const BuildPlan& plan) {
   BuildContext context = Resolve(g, plan);  // validates the plan first
   pll::BuildManifest manifest = MakeManifest(plan, context);
   BuildOutcome outcome;
+  outcome.order_seconds = context.order_seconds;
+  outcome.rank_space_seconds = context.rank_space_seconds;
   pll::LabelStore store;
   switch (plan.mode) {
     case BuildMode::kSerial:
@@ -418,16 +435,22 @@ BuildOutcome Run(const graph::Graph& g, const BuildPlan& plan) {
   manifest.wall_seconds += outcome.wall_seconds;
   manifest.created_unix = static_cast<std::uint64_t>(std::time(nullptr));
 
+  const util::WallTimer finalize;
   pll::Index index(std::move(store), std::move(context.order));
   index.SetManifest(std::move(manifest));
   outcome.artifact = IndexArtifact{std::move(index)};
+  outcome.finalize_seconds += finalize.Seconds();
+  if (obs::MetricsEnabled()) {
+    RecordBuildMetrics(outcome);
+  }
   return outcome;
 }
 
 double CalibrateSecondsPerUnit(const graph::Graph& g,
+                               pll::OrderingPolicy ordering,
                                const vtime::CostModel& model,
                                double* serial_seconds) {
-  const BuildOutcome serial = Run(g, {});
+  const BuildOutcome serial = Run(g, {.ordering = ordering});
   if (serial_seconds != nullptr) {
     *serial_seconds = serial.wall_seconds;
   }

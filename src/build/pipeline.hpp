@@ -55,6 +55,14 @@ struct BuildOutcome {
   double wall_seconds = 0.0;  // the root loop's, without the ordering
   bool complete = true;  // false when the build halted at a frontier
 
+  // Wall seconds of the stages around the root loop: computing (or, on
+  // resume, recovering) the order, relabelling the graph into rank space,
+  // and turning the built labels into the index. Published with
+  // wall_seconds as build.{order,rank_space,finalize}_s.
+  double order_seconds = 0.0;
+  double rank_space_seconds = 0.0;
+  double finalize_seconds = 0.0;
+
   // Per-root (rank, stats) in completion order; empty unless traced. One
   // worker (kSerial) completes roots in rank order; kSimulated records
   // its virtual start order.
@@ -93,12 +101,14 @@ struct BuildOutcome {
 // plan or a failed resume (missing/corrupt/mismatched checkpoint).
 BuildOutcome Run(const graph::Graph& g, const BuildPlan& plan);
 
-// Measures seconds per virtual unit by a serial build of `g`: its root
+// Measures seconds per virtual unit by a serial build of `g` under
+// `ordering` (the one the caller's simulated schedules use): its root
 // loop's wall time over the units `model` charges for the same work.
 // Multiplying a simulated makespan by this factor expresses the schedule
 // in calibrated seconds. `serial_seconds`, when non-null, receives that
 // wall time. Returns 0 for a build that costs no units.
 double CalibrateSecondsPerUnit(const graph::Graph& g,
+                               pll::OrderingPolicy ordering,
                                const vtime::CostModel& model,
                                double* serial_seconds = nullptr);
 

@@ -70,7 +70,7 @@ class StaticRangeScheduler final : public RootScheduler {
 };
 
 // Shared ordered queue: any free worker takes the next rank. Because the
-// ranks are already sorted by descending degree, a fetch_add over
+// ranks are already in computing-sequence order, a fetch_add over
 // [begin, end) is the paper's locked dequeue without the lock convoy.
 class DynamicRangeScheduler final : public RootScheduler {
  public:

@@ -4,7 +4,7 @@
 //
 // q cluster nodes run on the in-process message fabric (one thread per
 // rank). Roots are partitioned statically round-robin across nodes in
-// descending-degree rank order, as in the paper ("the task assignment
+// rank order, as in the paper ("the task assignment
 // among different nodes is static"). Each node indexes its share with a
 // private label store; after every ⌊n/c⌋ globally-ranked roots (c =
 // sync_count) all nodes exchange their new labels (Alg. 3's List) with an

@@ -1,14 +1,16 @@
 #include "pll/ordering.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 #include <queue>
 #include <stdexcept>
+#include <utility>
 
-#include "baseline/dijkstra.hpp"
 #include "graph/degree.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace parapll::pll {
 
@@ -18,77 +20,133 @@ std::string ToString(OrderingPolicy policy) {
       return "degree";
     case OrderingPolicy::kRandom:
       return "random";
-    case OrderingPolicy::kApproxBetweenness:
-      return "approx-betweenness";
+    case OrderingPolicy::kPathDegree:
+      return "path-degree";
   }
   return "?";
 }
 
+// parapll-lint: begin-untrusted-decode
+// `name` comes from the command line; it is only compared, never used to
+// size anything.
+std::optional<OrderingPolicy> ParseOrderingPolicy(std::string_view name) {
+  for (const OrderingPolicy policy :
+       {OrderingPolicy::kDegree, OrderingPolicy::kRandom,
+        OrderingPolicy::kPathDegree}) {
+    if (ToString(policy) == name) {
+      return policy;
+    }
+  }
+  return std::nullopt;
+}
+// parapll-lint: end-untrusted-decode
+
 namespace {
 
-// ψ(v) estimate: sample sources, build each shortest-path tree, and credit
-// every vertex with the size of its subtree (the number of shortest paths
-// from the source that pass through it). This is the Potamias et al.
-// centrality the paper cites for the optimal sequence.
-std::vector<double> SampledPathCentrality(const graph::Graph& g,
-                                          std::size_t samples,
-                                          std::uint64_t seed) {
+using HeapEntry = std::pair<graph::Distance, graph::VertexId>;
+
+// One thread's buffers for the sampled shortest-path trees, reused across
+// its samples: dist and subtree are reset only where a tree reached.
+struct TreeScratch {
+  explicit TreeScratch(graph::VertexId n)
+      : dist(n, graph::kInfiniteDistance),
+        subtree(n, 0),
+        parent(n),
+        psi(n, 0) {}
+
+  std::vector<graph::Distance> dist;
+  std::vector<std::uint64_t> subtree;
+  std::vector<graph::VertexId> parent;
+  std::vector<graph::VertexId> settled;  // in nondecreasing distance
+  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> heap;
+  std::vector<std::uint64_t> psi;  // this thread's share of ψ
+};
+
+// Adds one shortest-path tree from `source` to scratch.psi: every vertex
+// it reaches is credited with the size of its subtree (the number of
+// shortest paths from the source that pass through it). A vertex's parent
+// is its smallest-id neighbour on a shortest path to it.
+void AddSubtreeSizes(const graph::Graph& g, graph::VertexId source,
+                     TreeScratch& s) {
+  s.settled.clear();
+  s.dist[source] = 0;
+  s.heap.emplace(0, source);
+  while (!s.heap.empty()) {
+    const auto [d, u] = s.heap.top();
+    s.heap.pop();
+    if (d > s.dist[u]) {
+      continue;  // stale heap entry
+    }
+    s.settled.push_back(u);
+    for (const graph::Arc& arc : g.Neighbors(u)) {
+      const graph::VertexId v = arc.target;
+      const graph::Distance nd = d + arc.weight;
+      if (nd < s.dist[v]) {
+        s.dist[v] = nd;
+        s.parent[v] = u;
+        s.heap.emplace(nd, v);
+      } else if (nd == s.dist[v] && u < s.parent[v]) {
+        s.parent[v] = u;
+      }
+    }
+  }
+  // Weights are positive, so a child settles after its parent: walking the
+  // settle order backwards completes each subtree before its parent reads
+  // it.
+  for (auto it = s.settled.rbegin(); it != s.settled.rend(); ++it) {
+    const graph::VertexId v = *it;
+    const std::uint64_t size = s.subtree[v] + 1;
+    s.psi[v] += size;
+    if (v != source) {
+      s.subtree[s.parent[v]] += size;
+    }
+  }
+  for (const graph::VertexId v : s.settled) {
+    s.dist[v] = graph::kInfiniteDistance;
+    s.subtree[v] = 0;
+  }
+}
+
+// ψ(v) estimate (the Potamias et al. centrality the paper cites for the
+// optimal sequence): the sum of v's subtree sizes over the shortest-path
+// trees of `samples` random sources. The sources are drawn up front and
+// the per-thread sums are exact integers, so ψ is a function of
+// (g, samples, seed) alone, whatever the thread count.
+std::vector<std::uint64_t> SampledPathCentrality(const graph::Graph& g,
+                                                 std::size_t samples,
+                                                 std::uint64_t seed,
+                                                 std::size_t threads) {
   const graph::VertexId n = g.NumVertices();
-  std::vector<double> score(n, 0.0);
-  if (n == 0) {
-    return score;
-  }
   util::Rng rng(seed);
-  std::vector<graph::VertexId> parent(n);
-  for (std::size_t s = 0; s < samples; ++s) {
-    const auto source = static_cast<graph::VertexId>(rng.Below(n));
-    const auto dist = baseline::DijkstraAll(g, source);
-    // Parent pointers of one shortest-path tree (smallest-id tie-break).
-    std::fill(parent.begin(), parent.end(), graph::kInvalidVertex);
+  std::vector<graph::VertexId> sources(samples);
+  for (graph::VertexId& source : sources) {
+    source = static_cast<graph::VertexId>(rng.Below(n));
+  }
+  const std::size_t workers = std::clamp<std::size_t>(threads, 1, samples);
+  std::vector<TreeScratch> scratch;
+  scratch.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) {
+    scratch.emplace_back(n);
+  }
+  util::ParallelFor(workers, samples,
+                    [&](std::size_t worker, std::size_t sample) {
+                      AddSubtreeSizes(g, sources[sample], scratch[worker]);
+                    });
+  std::vector<std::uint64_t> psi = std::move(scratch[0].psi);
+  for (std::size_t w = 1; w < workers; ++w) {
     for (graph::VertexId v = 0; v < n; ++v) {
-      if (v == source || dist[v] == graph::kInfiniteDistance) {
-        continue;
-      }
-      for (const graph::Arc& arc : g.Neighbors(v)) {
-        if (dist[arc.target] != graph::kInfiniteDistance &&
-            dist[arc.target] + arc.weight == dist[v]) {
-          parent[v] = arc.target;
-          break;
-        }
-      }
-    }
-    // Process vertices in descending distance: subtree sizes accumulate up.
-    std::vector<graph::VertexId> by_depth;
-    by_depth.reserve(n);
-    for (graph::VertexId v = 0; v < n; ++v) {
-      if (dist[v] != graph::kInfiniteDistance) {
-        by_depth.push_back(v);
-      }
-    }
-    std::sort(by_depth.begin(), by_depth.end(),
-              [&dist](graph::VertexId a, graph::VertexId b) {
-                return dist[a] > dist[b];
-              });
-    std::vector<double> subtree(n, 1.0);
-    for (graph::VertexId v : by_depth) {
-      if (parent[v] != graph::kInvalidVertex) {
-        subtree[parent[v]] += subtree[v];
-      }
-    }
-    for (graph::VertexId v = 0; v < n; ++v) {
-      if (dist[v] != graph::kInfiniteDistance) {
-        score[v] += subtree[v];
-      }
+      psi[v] += scratch[w].psi[v];
     }
   }
-  return score;
+  return psi;
 }
 
 }  // namespace
 
 std::vector<graph::VertexId> ComputeOrder(const graph::Graph& g,
                                           OrderingPolicy policy,
-                                          std::uint64_t seed) {
+                                          std::uint64_t seed,
+                                          std::size_t threads) {
   const graph::VertexId n = g.NumVertices();
   switch (policy) {
     case OrderingPolicy::kDegree:
@@ -100,10 +158,18 @@ std::vector<graph::VertexId> ComputeOrder(const graph::Graph& g,
       rng.Shuffle(order);
       return order;
     }
-    case OrderingPolicy::kApproxBetweenness: {
-      const std::size_t samples =
-          std::clamp<std::size_t>(n / 64, 4, 32);
-      const auto score = SampledPathCentrality(g, samples, seed);
+    case OrderingPolicy::kPathDegree: {
+      if (n == 0) {
+        return {};
+      }
+      const std::size_t samples = std::clamp<std::size_t>(n / 64, 4, 32);
+      const std::vector<std::uint64_t> psi =
+          SampledPathCentrality(g, samples, seed, threads);
+      // ψ ≤ samples · n and deg < n, so the product is exact in 128 bits.
+      std::vector<unsigned __int128> score(n);
+      for (graph::VertexId v = 0; v < n; ++v) {
+        score[v] = static_cast<unsigned __int128>(psi[v]) * g.Degree(v);
+      }
       std::vector<graph::VertexId> order(n);
       std::iota(order.begin(), order.end(), graph::VertexId{0});
       std::stable_sort(order.begin(), order.end(),

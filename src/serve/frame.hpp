@@ -129,6 +129,14 @@ void AppendResponseFrame(std::string& out, ResponseStatus status,
                          std::span<const graph::Distance> distances,
                          std::string_view trace_id);
 
+// Bytes AppendResponseFrame adds for an OK answer of `pairs` distances
+// echoing a `trace_bytes`-byte trace id, length prefix included.
+[[nodiscard]] constexpr std::size_t OkResponseFrameBytes(
+    std::size_t pairs, std::size_t trace_bytes) {
+  return 4 + 4 + 1 + 4 + pairs * sizeof(graph::Distance) +
+         (trace_bytes == 0 ? 0 : 1 + trace_bytes);
+}
+
 [[nodiscard]] std::string EncodeOkResponse(
     std::span<const graph::Distance> distances, std::string_view trace_id = {});
 // kShed / kBadRequest (statuses whose body is just the optional trace).

@@ -44,6 +44,10 @@ struct ServerMetrics {
   obs::Counter& reload_errors =
       obs::Registry::Global().GetCounter("server.reload_errors");
   obs::Counter& sends = obs::Registry::Global().GetCounter("server.sends");
+  obs::Counter& read_paused =
+      obs::Registry::Global().GetCounter("server.read_paused");
+  obs::Gauge& max_unsent_bytes =
+      obs::Registry::Global().GetGauge("server.max_unsent_bytes");
   obs::Gauge& connections =
       obs::Registry::Global().GetGauge("server.connections");
   obs::Gauge& queue_depth =
@@ -78,9 +82,15 @@ struct QueryServer::Connection {
   FrameReader reader{kMaxRequestPayload};
   // Write side: a cycle's answers are framed here and the cycle's flush
   // stage sends them in one Flush; what the socket does not take parks
-  // until POLLOUT, so a slow reader never stalls the loop.
+  // until POLLOUT, so a slow reader never stalls the loop. Holds unsent
+  // bytes only: Flush drops what the socket took.
   std::string outbuf;
-  std::size_t out_offset = 0;
+  // Upper bound on the bytes of this connection's admitted answers that
+  // the cycle's batch has not framed yet; zero outside a cycle.
+  std::size_t owed_bytes = 0;
+  // Answers reached kMaxUnsentBytes: no POLLIN, no decoding, until they
+  // drain below it.
+  bool read_paused = false;
   // Request-log records of the answers framed this cycle, committed just
   // before their send: a client never sees an answer whose record is not
   // yet in the log.
@@ -127,6 +137,8 @@ ServeStats QueryServer::Stats() const {
   stats.hot_swaps = hot_swaps_.load();
   stats.reload_errors = reload_errors_.load();
   stats.sends = sends_.load();
+  stats.read_paused = read_paused_.load();
+  stats.max_unsent_bytes = max_unsent_bytes_.load();
   return stats;
 }
 
@@ -283,32 +295,37 @@ void QueryServer::Flush(Connection& conn) {
   if (conn.dead) {
     return;
   }
-  while (conn.out_offset < conn.outbuf.size()) {
-    const ssize_t n =
-        util::SendRetry(conn.fd, conn.outbuf.data() + conn.out_offset,
-                        conn.outbuf.size() - conn.out_offset);
+  if (conn.outbuf.size() > max_unsent_bytes_.load()) {
+    max_unsent_bytes_.store(conn.outbuf.size());
+    if (obs::MetricsEnabled()) {
+      Metrics().max_unsent_bytes.Set(static_cast<double>(conn.outbuf.size()));
+    }
+  }
+  std::size_t sent = 0;
+  while (sent < conn.outbuf.size()) {
+    const ssize_t n = util::SendRetry(conn.fd, conn.outbuf.data() + sent,
+                                      conn.outbuf.size() - sent);
     sends_.fetch_add(1);
     if (obs::MetricsEnabled()) {
       Metrics().sends.Add(1);
     }
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return;  // socket full: the rest goes out on POLLOUT
+        break;  // socket full: the rest goes out on POLLOUT
       }
       CloseConnection(conn);
       return;
     }
     if (n == 0) {
-      return;
+      break;
     }
-    conn.out_offset += static_cast<std::size_t>(n);
+    sent += static_cast<std::size_t>(n);
     // Write progress counts as activity: a slow reader mid-download is
     // not idle.
     conn.last_active_ns = now_ns;
   }
-  conn.outbuf.clear();
-  conn.out_offset = 0;
-  if (conn.closing) {
+  conn.outbuf.erase(0, sent);
+  if (conn.closing && conn.outbuf.empty()) {
     CloseConnection(conn);
   }
 }
@@ -357,8 +374,32 @@ void QueryServer::ReadFrom(Connection& conn,
   }
   conn.last_active_ns = now_ns;
   conn.reader.Append(read_buf_.data(), static_cast<std::size_t>(n));
+  DecodeFrames(conn, pending, now_ns);
+}
+
+void QueryServer::DecodeFrames(Connection& conn,
+                               std::vector<PendingRequest>& pending,
+                               std::uint64_t now_ns) {
+  if (conn.closing) {
+    return;  // a malformed frame lost the framing; nothing more to decode
+  }
   try {
-    while (conn.reader.Next(payload_)) {
+    while (true) {
+      // Backpressure: at the cap the rest stays in the reader (and, with
+      // POLLIN off, in the kernel) until the client takes its answers.
+      if (conn.outbuf.size() + conn.owed_bytes >= kMaxUnsentBytes) {
+        if (!conn.read_paused) {
+          conn.read_paused = true;
+          read_paused_.fetch_add(1);
+          if (obs::MetricsEnabled()) {
+            Metrics().read_paused.Add(1);
+          }
+        }
+        return;
+      }
+      if (!conn.reader.Next(payload_)) {
+        break;
+      }
       Request request = DecodeRequestPayload(payload_);
       if (request.type == RequestType::kInfo) {
         conn.outbuf += EncodeInfoResponse(InfoSnapshot());
@@ -396,9 +437,12 @@ void QueryServer::ReadFrom(Connection& conn,
       }
       loop_queued_pairs_ += request.pairs.size();
       queued_pairs_.store(loop_queued_pairs_);
+      conn.owed_bytes +=
+          OkResponseFrameBytes(request.pairs.size(), request.trace_id.size());
       pending.push_back(PendingRequest{&conn, now_ns, std::move(request.pairs),
                                        std::move(request.trace_id)});
     }
+    conn.read_paused = false;
   } catch (const std::exception&) {
     // A malformed frame loses the framing for good: answer BAD_REQUEST
     // and close once the answer drains. No trace id survives a broken
@@ -413,6 +457,7 @@ void QueryServer::ReadFrom(Connection& conn,
     record.status = "bad_request";
     Answer(conn, ResponseStatus::kBadRequest, std::move(record));
     conn.closing = true;
+    conn.read_paused = false;  // nothing left to resume
   }
 }
 
@@ -441,6 +486,7 @@ void QueryServer::DrainPending(std::vector<PendingRequest>& pending) {
   batch_pairs_.clear();
   batch_traces_.clear();
   for (PendingRequest& request : pending) {
+    request.conn->owed_bytes = 0;  // every pending answer is framed below
     if (request.conn->dead) {
       continue;  // client vanished while queued; drop silently
     }
@@ -533,15 +579,20 @@ void QueryServer::EventLoop(int listen_fd) {
         static_cast<short>(conns.size() < options_.max_connections ? POLLIN
                                                                    : 0),
         0});
+    // A parked connection whose answers drained below the cap decodes its
+    // buffered frames this cycle: its client may send nothing more.
+    bool resume_due = false;
     for (const auto& conn : conns) {
-      short events = POLLIN;
-      if (conn->out_offset < conn->outbuf.size()) {
+      short events = conn->read_paused ? 0 : POLLIN;
+      if (!conn->outbuf.empty()) {
         events |= POLLOUT;
       }
+      resume_due |=
+          conn->read_paused && conn->outbuf.size() < kMaxUnsentBytes;
       pfds.push_back(pollfd{conn->fd, events, 0});
     }
-    const int ready =
-        util::PollRetry(pfds.data(), static_cast<nfds_t>(pfds.size()), 50);
+    const int ready = util::PollRetry(
+        pfds.data(), static_cast<nfds_t>(pfds.size()), resume_due ? 0 : 50);
     if (ready < 0) {
       continue;  // transient poll failure: re-check running_
     }
@@ -561,10 +612,15 @@ void QueryServer::EventLoop(int listen_fd) {
         CloseConnection(conn);
         continue;
       }
-      if ((revents & (POLLIN | POLLHUP)) != 0) {
+      if (conn.read_paused) {
+        if (conn.outbuf.size() < kMaxUnsentBytes) {
+          DecodeFrames(conn, pending, now);
+        }
+      } else if ((revents & (POLLIN | POLLHUP)) != 0) {
         ReadFrom(conn, pending, now);
       }
-      if ((revents & POLLOUT) != 0) {
+      // POLLHUP on a parked connection: the send fails and closes it.
+      if ((revents & (POLLOUT | POLLHUP)) != 0) {
         conn.flush_due = true;  // a parked partial write can move on
       }
     }

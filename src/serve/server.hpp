@@ -7,6 +7,12 @@
 //   * Connections are non-blocking with per-connection read/write
 //     buffers and idle timeouts; a slow reader never stalls the loop
 //     (partial writes park in the outbuf until POLLOUT).
+//   * Backpressure: once a connection's unsent answers reach
+//     kMaxUnsentBytes, the loop stops decoding its frames and polling it
+//     for POLLIN, so the kernel's socket buffers push back on a client
+//     that sends without reading. Its buffered frames are decoded as
+//     soon as the answers drain below the cap. A parked connection whose
+//     answers do not move is closed by the idle timeout.
 //   * Each loop iteration admits decoded DISTANCE_QUERY requests into a
 //     bounded queue (options.max_queued_pairs total pairs). A request
 //     that would overflow the budget is answered with an explicit SHED
@@ -62,6 +68,19 @@
 
 namespace parapll::serve {
 
+// Per-connection cap on answer bytes not yet taken by the socket (and
+// the answers admitted this cycle but not yet framed). At the cap the
+// daemon stops reading that connection, so its memory stays under the cap
+// plus one answer. options.max_queued_pairs bounds queued *pairs*; this
+// bounds *answers*. A cycle decodes one 64 KiB read plus at most one
+// carried-over frame, so a client that reads promptly is owed at most one
+// full-size answer (kMaxPairsPerRequest distances, ~512 KiB: also the
+// whole default max_queued_pairs budget) plus the answers to one read:
+// twice the largest answer covers that, so only a client that leaves its
+// answers unread is parked.
+inline constexpr std::size_t kMaxUnsentBytes =
+    2 * OkResponseFrameBytes(kMaxPairsPerRequest, kMaxTraceIdBytes);
+
 struct ServeOptions {
   // 0 binds an ephemeral loopback port; read the result with Port().
   std::uint16_t port = 0;
@@ -107,6 +126,11 @@ struct ServeStats {
   std::uint64_t hot_swaps = 0;       // successful engine flips
   std::uint64_t reload_errors = 0;   // watcher load/validate failures
   std::uint64_t sends = 0;           // send() calls on client sockets
+  // Times a connection stopped being read because its unsent answers
+  // reached kMaxUnsentBytes.
+  std::uint64_t read_paused = 0;
+  // Largest unsent answer buffer any connection held at a flush.
+  std::uint64_t max_unsent_bytes = 0;
 };
 
 class QueryServer {
@@ -183,6 +207,10 @@ class QueryServer {
                    std::vector<std::unique_ptr<Connection>>& conns);
   void ReadFrom(Connection& conn, std::vector<PendingRequest>& pending,
                 std::uint64_t now_ns);
+  // Decodes and admits the frames buffered in conn's reader until it
+  // runs dry or conn's answers reach kMaxUnsentBytes (which parks it).
+  void DecodeFrames(Connection& conn, std::vector<PendingRequest>& pending,
+                    std::uint64_t now_ns);
   void DrainPending(std::vector<PendingRequest>& pending);
   // Frames one answer into conn's outbuf and holds its request-log record
   // until the cycle's flush stage.
@@ -225,6 +253,8 @@ class QueryServer {
   std::atomic<std::uint64_t> hot_swaps_{0};
   std::atomic<std::uint64_t> reload_errors_{0};
   std::atomic<std::uint64_t> sends_{0};
+  std::atomic<std::uint64_t> read_paused_{0};
+  std::atomic<std::uint64_t> max_unsent_bytes_{0};
 
   // Mirror of loop_queued_pairs_ readable off the event-loop thread (the
   // INFO frame is answered inline, but /healthz reads from the

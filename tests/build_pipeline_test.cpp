@@ -15,7 +15,9 @@
 #include "build/build_plan.hpp"
 #include "build/root_scheduler.hpp"
 #include "graph/generators.hpp"
+#include "obs/metrics.hpp"
 #include "pll/verify.hpp"
+#include "util/timer.hpp"
 
 namespace parapll::build {
 namespace {
@@ -67,7 +69,7 @@ TEST_P(PipelineModes, EveryGraphFamilyMatchesDijkstra) {
     const pll::BuildManifest& manifest = outcome.artifact.Manifest();
     EXPECT_EQ(manifest.mode, ToString(mode));
     EXPECT_EQ(manifest.policy, parallel::ToString(policy));
-    EXPECT_EQ(manifest.ordering, "degree");
+    EXPECT_EQ(manifest.ordering, pll::ToString(BuildPlan{}.ordering));
     EXPECT_EQ(manifest.num_vertices, test_case.g.NumVertices());
     EXPECT_EQ(manifest.num_edges, test_case.g.NumEdges());
     EXPECT_EQ(manifest.graph_fingerprint, graph::Fingerprint(test_case.g));
@@ -91,6 +93,42 @@ INSTANTIATE_TEST_SUITE_P(
       return ToString(std::get<0>(info.param)) + std::string("_") +
              std::string(parallel::ToString(std::get<1>(info.param)));
     });
+
+// Run times the stages around the root loop and publishes them beside
+// the root loop's own gauge; all four fit inside Run's wall time.
+TEST(Pipeline, RunPublishesStageSeconds) {
+  const graph::Graph g = graph::RoadGrid(
+      20, 20, 0.9, 4, {graph::WeightModel::kRoadLike, 100}, 5);
+  const std::vector<std::string> stages = {
+      "build.order_s", "build.rank_space_s", "build.finalize_s",
+      "indexer.wall_seconds"};
+  auto& registry = obs::Registry::Global();
+  for (const std::string& name : stages) {
+    registry.GetGauge(name).Set(-1.0);
+  }
+  obs::SetMetricsEnabled(true);
+  const util::WallTimer wall;
+  const BuildOutcome outcome =
+      build::Run(g, {.mode = BuildMode::kParallel, .threads = 2});
+  const double run_seconds = wall.Seconds();
+  obs::SetMetricsEnabled(false);
+
+  EXPECT_EQ(registry.GetGauge("build.order_s").Value(),
+            outcome.order_seconds);
+  EXPECT_EQ(registry.GetGauge("build.rank_space_s").Value(),
+            outcome.rank_space_seconds);
+  EXPECT_EQ(registry.GetGauge("build.finalize_s").Value(),
+            outcome.finalize_seconds);
+  EXPECT_EQ(registry.GetGauge("indexer.wall_seconds").Value(),
+            outcome.wall_seconds);
+  double sum = 0.0;
+  for (const std::string& name : stages) {
+    const double seconds = registry.GetGauge(name).Value();
+    EXPECT_GT(seconds, 0.0) << name;
+    sum += seconds;
+  }
+  EXPECT_LE(sum, run_seconds);
+}
 
 // The four modes agree not just with Dijkstra but with *each other*:
 // identical distance matrices on a fixed sample, whatever the schedule.

@@ -245,6 +245,36 @@ TEST(Checkpoint, ResumeRejectsHubsAtOrBeyondTheCursor) {
   }
 }
 
+// The checkpoint, not the resuming plan, decides the order, so the
+// manifest must name the checkpoint's ordering and seed: a degree-order
+// checkpoint resumed by a default (ψ × degree) plan is still a degree build.
+TEST(Checkpoint, ResumeRecordsTheCheckpointsOrdering) {
+  const graph::Graph g = TestGraph();
+  const std::string dir = FreshDir("ordering");
+  BuildPlan halted;
+  halted.ordering = pll::OrderingPolicy::kDegree;
+  halted.seed = 9;
+  halted.halt_after_roots = 40;
+  halted.checkpoint_dir = dir;
+  EXPECT_FALSE(build::Run(g, halted).complete);
+
+  BuildPlan resume;
+  resume.resume_dir = dir;
+  ASSERT_NE(resume.ordering, pll::OrderingPolicy::kDegree);
+  const BuildOutcome resumed = build::Run(g, resume);
+  EXPECT_TRUE(resumed.complete);
+  EXPECT_EQ(resumed.artifact.Manifest().ordering, "degree");
+  EXPECT_EQ(resumed.artifact.Manifest().seed, 9u);
+
+  // A serial build resumed at its exact frontier redoes no root, so it
+  // ends with the uninterrupted build's order and rows.
+  const BuildOutcome straight =
+      build::Run(g, {.ordering = pll::OrderingPolicy::kDegree, .seed = 9});
+  EXPECT_EQ(resumed.artifact.index.Order(), straight.artifact.index.Order());
+  EXPECT_EQ(resumed.artifact.index.Store().ToRows(),
+            straight.artifact.index.Store().ToRows());
+}
+
 TEST(Checkpoint, ResumingACompleteBuildIsANoOpBuild) {
   const graph::Graph g = TestGraph();
   const std::string dir = FreshDir("complete");

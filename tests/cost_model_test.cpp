@@ -43,7 +43,8 @@ TEST(CostModel, CalibrationReturnsPositiveFactor) {
   const CostModel model;
   double serial_seconds = 0.0;
   const double seconds_per_unit =
-      build::CalibrateSecondsPerUnit(g, model, &serial_seconds);
+      build::CalibrateSecondsPerUnit(g, pll::OrderingPolicy::kDegree, model,
+                                     &serial_seconds);
   EXPECT_GT(seconds_per_unit, 0.0);
   EXPECT_LT(seconds_per_unit, 1.0);  // a unit is far below a second
   EXPECT_GT(serial_seconds, 0.0);

@@ -85,7 +85,7 @@ TEST(SerialPll, AllOrderingPoliciesAreExact) {
   const Graph g = graph::BarabasiAlbert(60, 3, Uniform(), 13);
   for (const auto policy :
        {pll::OrderingPolicy::kDegree, pll::OrderingPolicy::kRandom,
-        pll::OrderingPolicy::kApproxBetweenness}) {
+        pll::OrderingPolicy::kPathDegree}) {
     const pll::Index index = BuildIndex(g, policy);
     const auto verdict = pll::VerifyExhaustive(g, index);
     EXPECT_TRUE(verdict.Ok())

@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <span>
 #include <sstream>
@@ -235,6 +237,14 @@ TEST(ServeFrame, ReaderRejectsOversizeLengthAfterPoppedFrames) {
   EXPECT_THROW((void)reader.Next(payload), std::runtime_error);
 }
 
+TEST(ServeFrame, OkResponseFrameBytesMatchesTheEncoder) {
+  const std::vector<graph::Distance> distances(37, 5);
+  EXPECT_EQ(EncodeOkResponse(distances, "abc").size(),
+            OkResponseFrameBytes(37, 3));
+  EXPECT_EQ(EncodeOkResponse(distances).size(), OkResponseFrameBytes(37, 0));
+  EXPECT_EQ(EncodeOkResponse({}, "t").size(), OkResponseFrameBytes(0, 1));
+}
+
 TEST(ServeFrame, OversizedPairCountThrows) {
   std::vector<QueryPair> pairs(kMaxPairsPerRequest + 1, {0, 0});
   EXPECT_THROW((void)EncodeDistanceRequest(pairs), std::invalid_argument);
@@ -249,10 +259,16 @@ TEST(ServeFrame, OversizedPairCountThrows) {
 // raw garbage).
 class RawClient {
  public:
-  explicit RawClient(std::uint16_t port) {
+  // receive_buffer > 0 shrinks the socket's receive buffer first, so a
+  // client that does not read fills the kernel's buffers sooner.
+  explicit RawClient(std::uint16_t port, int receive_buffer = 0) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd_ < 0) {
       throw std::runtime_error("raw client: socket() failed");
+    }
+    if (receive_buffer > 0) {
+      ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &receive_buffer,
+                   sizeof(receive_buffer));
     }
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
@@ -272,6 +288,11 @@ class RawClient {
 
   void Send(const std::string& bytes) {
     ASSERT_TRUE(util::SendAll(fd_, bytes));
+  }
+
+  // False once the daemon closed the connection mid-send.
+  [[nodiscard]] bool TrySend(const std::string& bytes) {
+    return util::SendAll(fd_, bytes);
   }
 
   // Reads one complete response payload, `chunk` bytes at a time with a
@@ -599,6 +620,116 @@ TEST(QueryServerTest, SlowReaderGetsCompleteResponseViaPartialWrites) {
   const Response response = raw.ReadSlowly(4096);
   ASSERT_EQ(response.status, ResponseStatus::kOk);
   EXPECT_EQ(response.distances, want);
+  server.Stop();
+}
+
+// Requests in a flood: ~8.8 MB each way, more than kMaxUnsentBytes plus
+// what the kernel's loopback buffers absorb (a 4 MB send buffer by
+// default), so a client that does not read gets parked.
+constexpr std::size_t kFloodRequests = 16'000;
+
+// Several MB of pipelined requests, the answers to `count` 64-pair
+// DISTANCE_QUERY frames traced "bp-<k>", with an INFO frame (an answer
+// ~6x the size of its request) after every 8th.
+std::string PipelinedFlood(std::span<const QueryPair> pairs,
+                           std::size_t count) {
+  std::string frames;
+  for (std::size_t k = 0; k < count; ++k) {
+    frames += EncodeDistanceRequest(pairs.subspan(k * 64, 64),
+                                    "bp-" + std::to_string(k));
+    if (k % 8 == 7) {
+      frames += EncodeInfoRequest();
+    }
+  }
+  return frames;
+}
+
+bool WaitFor(const std::function<bool()>& done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return true;
+}
+
+// A client that pipelines without reading is parked at kMaxUnsentBytes
+// instead of growing the daemon's memory: its unsent answers stay under
+// the cap plus one answer, another connection keeps being served, and
+// once the client reads, every answer arrives, distance answers in
+// request order and bit-identical to QueryBatch.
+TEST(QueryServerTest, ClientThatDoesNotReadIsParkedAtTheAnswerCap) {
+  const Graph g = graph::ErdosRenyi(60, 150, {WeightModel::kUniform, 9}, 3);
+  pll::Index index = BuildTestIndex(g);
+  query::QueryEngine direct(index, {});
+  QueryServer server(index, {});
+  server.Start();
+
+  constexpr std::size_t kRequests = kFloodRequests;
+  const auto pairs = RandomPairs(g.NumVertices(), kRequests * 64, 51);
+  const std::vector<graph::Distance> want = direct.QueryBatch(pairs);
+  const std::string frames = PipelinedFlood(pairs, kRequests);
+  RawClient flood(server.Port(), 16 << 10);
+  // Blocks once the kernel's buffers fill, until the main thread reads.
+  std::thread sender([&flood, &frames] { flood.Send(frames); });
+  ASSERT_TRUE(WaitFor([&server] { return server.Stats().read_paused > 0; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const std::size_t one_answer = OkResponseFrameBytes(64, kMaxTraceIdBytes);
+  EXPECT_LT(server.Stats().max_unsent_bytes, kMaxUnsentBytes + one_answer);
+  EXPECT_GE(server.Stats().max_unsent_bytes, kMaxUnsentBytes);
+
+  ServeClient other;
+  other.Connect(server.Port());
+  const auto other_pairs = RandomPairs(g.NumVertices(), 100, 52);
+  const Response answer = other.Distance(other_pairs);
+  ASSERT_EQ(answer.status, ResponseStatus::kOk);
+  EXPECT_EQ(answer.distances, direct.QueryBatch(other_pairs));
+
+  std::size_t next = 0;
+  std::size_t infos = 0;
+  while (next < kRequests || infos < kRequests / 8) {
+    const Response response = flood.ReadSlowly(64 << 10);
+    if (response.status == ResponseStatus::kInfo) {
+      ++infos;
+      continue;
+    }
+    ASSERT_EQ(response.status, ResponseStatus::kOk) << "request " << next;
+    ASSERT_EQ(response.trace_id, "bp-" + std::to_string(next));
+    const auto first = want.begin() + static_cast<std::ptrdiff_t>(64 * next);
+    ASSERT_TRUE(std::equal(response.distances.begin(),
+                           response.distances.end(), first, first + 64))
+        << "request " << next;
+    ++next;
+  }
+  sender.join();
+  EXPECT_LT(server.Stats().max_unsent_bytes, kMaxUnsentBytes + one_answer);
+  EXPECT_EQ(server.Stats().shed, 0u);
+  server.Stop();
+}
+
+// A parked connection's reads no longer count as activity, so a client
+// that never takes its answers is closed by the idle timeout.
+TEST(QueryServerTest, ParkedClientIsClosedByTheIdleTimeout) {
+  const Graph g = graph::ErdosRenyi(60, 150, {WeightModel::kUniform, 9}, 3);
+  ServeOptions options;
+  options.idle_timeout_ms = 500;
+  QueryServer server(BuildTestIndex(g), options);
+  server.Start();
+  constexpr std::size_t kRequests = kFloodRequests;
+  const auto pairs = RandomPairs(g.NumVertices(), kRequests * 64, 53);
+  // Framed before connecting: the connection must not idle before it
+  // is parked.
+  const std::string frames = PipelinedFlood(pairs, kRequests);
+  RawClient flood(server.Port(), 16 << 10);
+  std::thread sender([&flood, &frames] { (void)flood.TrySend(frames); });
+  EXPECT_TRUE(WaitFor([&server] { return server.Stats().read_paused > 0; }));
+  EXPECT_TRUE(WaitFor([&server] { return server.Stats().idle_closed > 0; }));
+  sender.join();
+  EXPECT_LT(server.Stats().max_unsent_bytes,
+            kMaxUnsentBytes + OkResponseFrameBytes(64, kMaxTraceIdBytes));
   server.Stop();
 }
 

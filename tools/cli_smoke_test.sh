@@ -26,6 +26,21 @@ printf '1 2\n3 4\n' | "$CLI" query --index "$WORK/g.zindex" --compact \
 "$CLI" verify --index "$WORK/g.zindex" --compact --graph "$WORK/g.txt" \
   --pairs 400
 
+# Vertex order: the default is BuildPlan's (path-degree), --ordering
+# degree pins the paper's sequence; the manifest names the order used and
+# both indexes answer exactly. An unknown order is refused before building.
+"$CLI" stats --index "$WORK/g.index" | grep -q '"ordering":"path-degree"'
+"$CLI" build --graph "$WORK/g.txt" --mode parallel --threads 4 \
+  --ordering degree --out "$WORK/degree.index"
+"$CLI" stats --index "$WORK/degree.index" | grep -q '"ordering":"degree"'
+"$CLI" verify --index "$WORK/degree.index" --graph "$WORK/g.txt" --pairs 400
+if "$CLI" build --graph "$WORK/g.txt" --ordering centrality \
+  --out "$WORK/unknown.index" 2> "$WORK/ordering.log"; then
+  exit 1
+fi
+grep -q 'unknown --ordering centrality' "$WORK/ordering.log"
+[ ! -e "$WORK/unknown.index" ]
+
 # Index files are replaced, never rewritten in place, so a process that
 # has the old file mapped (serve --mmap) keeps reading consistent bytes:
 # building or converting over an existing file gives it a new inode and

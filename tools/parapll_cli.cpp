@@ -63,6 +63,8 @@ int Usage() {
       "  generate --dataset NAME --scale S --seed K --out FILE\n"
       "  build    --graph FILE --mode serial|parallel|simulated|cluster\n"
       "           --threads P --nodes Q --sync C --policy static|dynamic\n"
+      "           --ordering degree|random|path-degree (default\n"
+      "           path-degree: sampled path centrality x degree)\n"
       "           --out FILE [--compact] [--index-format 1|2]\n"
       "           (format 2 is the 16-byte-aligned mmap-able container\n"
       "           that serve --mmap maps zero-copy)\n"
@@ -168,7 +170,15 @@ int CmdBuild(util::ArgParser& args) {
     return 1;
   }
   const std::string mode_name = args.GetString("mode");
+  const std::string ordering_name = args.GetString("ordering");
+  const std::optional<pll::OrderingPolicy> ordering =
+      pll::ParseOrderingPolicy(ordering_name);
+  if (!ordering) {
+    std::fprintf(stderr, "unknown --ordering %s\n", ordering_name.c_str());
+    return 1;
+  }
   build::BuildPlan plan;
+  plan.ordering = *ordering;
   if (mode_name == "serial") {
     plan.mode = build::BuildMode::kSerial;
   } else if (mode_name == "parallel") {
@@ -621,6 +631,8 @@ int main(int argc, char** argv) {
       .Flag("nodes", "1", "cluster nodes (build)")
       .Flag("sync", "16", "cluster sync count (build)")
       .Flag("policy", "dynamic", "assignment policy (build)")
+      .Flag("ordering", pll::ToString(build::BuildPlan{}.ordering),
+            "vertex order: degree|random|path-degree (build)")
       .Flag("checkpoint-dir", "", "resumable snapshot directory (build)")
       .Flag("checkpoint-every", "0",
             "snapshot every K finished roots (build; 0 = signal-only)")
