@@ -9,6 +9,7 @@
 #include "baseline/bidirectional_dijkstra.hpp"
 #include "baseline/dijkstra.hpp"
 #include "build/pipeline.hpp"
+#include "pll/format_v2.hpp"
 #include "pll/knn_engine.hpp"
 #include "graph/datasets.hpp"
 #include "util/rng.hpp"
@@ -92,8 +93,8 @@ void BM_IndexSerializationRoundTrip(benchmark::State& state) {
   const Workload& w = SharedWorkload();
   for (auto _ : state) {
     std::stringstream buffer;
-    w.index.Save(buffer);
-    benchmark::DoNotOptimize(pll::Index::Load(buffer));
+    pll::WriteIndexV2(w.index, buffer);
+    benchmark::DoNotOptimize(pll::ReadIndexV2(buffer));
   }
 }
 BENCHMARK(BM_IndexSerializationRoundTrip)->Unit(benchmark::kMillisecond);

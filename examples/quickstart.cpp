@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
 
   // 5. Persist and reload.
   const std::string path = "/tmp/parapll_quickstart.index";
-  pll::WriteIndexFile(index, path, pll::kIndexFormatV1);
+  pll::WriteIndexFile(index, path);
   const pll::Index loaded = pll::Index::LoadFile(path);
   std::printf("round-tripped index through %s: %s\n", path.c_str(),
               loaded == index ? "identical" : "MISMATCH");

@@ -7,6 +7,10 @@ namespace parapll::build {
 
 void IndexArtifact::Save(const std::string& path,
                          std::uint32_t format_version) const {
+  if (format_version != pll::kIndexFormatV2) {
+    throw std::runtime_error("unknown index format version " +
+                             std::to_string(format_version));
+  }
   // The manifest travels inside the container; an artifact with a wholly
   // default manifest would round-trip as "unknown provenance", which
   // defeats the point — catch it at write time.
@@ -15,7 +19,7 @@ void IndexArtifact::Save(const std::string& path,
     throw std::runtime_error("index artifact is missing its manifest");
   }
   index.Manifest().Validate();
-  pll::WriteIndexFile(index, path, format_version);
+  pll::WriteIndexFile(index, path);
 }
 
 IndexArtifact IndexArtifact::Load(const std::string& path) {

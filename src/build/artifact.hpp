@@ -9,9 +9,9 @@
 //
 // Writes go through pll::WriteIndexFile, which is atomic (tmp + rename in
 // the target directory), so a crash or signal mid-write leaves the
-// previous artifact intact. Loads validate
-// with the same rigor as the label-store deserializer and can additionally
-// be pinned to a graph: fingerprint and vertex/edge counts must match.
+// previous artifact intact. Loads validate with the full rigor of
+// pll::ReadIndexV2 and can additionally be pinned to a graph: fingerprint
+// and vertex/edge counts must match.
 #pragma once
 
 #include <cstdint>
@@ -34,13 +34,11 @@ struct IndexArtifact {
     return !index.Manifest().IsComplete();
   }
 
-  // Atomic write (pll::WriteIndexFile). `format_version` picks the
-  // container: 1 is the streamed layout (Index::Save), 2 the mmap-able
-  // format (pll/format_v2.hpp); both load through the same Load() below.
-  // Throws std::runtime_error on a missing manifest, I/O failure or an
-  // unknown version.
+  // Atomic write (pll::WriteIndexFile) in index format v2, the only
+  // container; `format_version` must name it. Throws std::runtime_error
+  // on a missing manifest, I/O failure or any other version.
   void Save(const std::string& path,
-            std::uint32_t format_version = pll::kIndexFormatV1) const;
+            std::uint32_t format_version = pll::kIndexFormatV2) const;
 
   // Loads and validates. Throws std::runtime_error on corrupt bytes, a
   // version mismatch, or (unlike raw Index::LoadFile) a missing manifest:

@@ -27,11 +27,8 @@
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
-#include "pll/compact_io.hpp"
-#include "pll/dynamic_index.hpp"
 #include "pll/index.hpp"
 #include "pll/knn_engine.hpp"
-#include "pll/path_index.hpp"
 #include "pll/verify.hpp"
 #include "query/query_engine.hpp"
 #include "query/slow_query_log.hpp"

@@ -181,9 +181,10 @@ void Histogram::RecordWithExemplar(std::uint64_t value,
                                             std::memory_order_relaxed)) {
     return;
   }
-  // relaxed payload stores: published by the release version bump below.
-  slot.value.store(value, std::memory_order_relaxed);
-  slot.request_id.store(request_id, std::memory_order_relaxed);
+  // release payload stores: a reader whose acquire load sees either one
+  // also sees the odd version claimed above, so its re-check fails.
+  slot.value.store(value, std::memory_order_release);
+  slot.request_id.store(request_id, std::memory_order_release);
   // release: makes the payload visible to any reader that observes the
   // new even version.
   slot.version.store(version + 2, std::memory_order_release);
@@ -217,14 +218,14 @@ HistogramSnapshot Histogram::Snapshot() const {
       if ((before & 1) != 0) {
         continue;  // write in progress: retry
       }
-      // relaxed payload loads: validated by the fenced re-check below.
-      const std::uint64_t value = slot.value.load(std::memory_order_relaxed);
+      // acquire payload loads: keep the version re-check below after
+      // them, and pair with the writer's release payload stores, so a
+      // payload from a newer writer makes the re-check see its version.
+      const std::uint64_t value = slot.value.load(std::memory_order_acquire);
       const std::uint64_t request_id =
-          slot.request_id.load(std::memory_order_relaxed);
-      // acquire fence: keeps the payload loads above the version re-check
-      // (the textbook seqlock reader ordering).
-      std::atomic_thread_fence(std::memory_order_acquire);
-      // relaxed: ordered by the fence above; equality proves stability.
+          slot.request_id.load(std::memory_order_acquire);
+      // relaxed: ordered by the acquire loads above; equality proves
+      // stability.
       if (slot.version.load(std::memory_order_relaxed) == before) {
         snap.exemplars[b] = {true, value, request_id};
         break;

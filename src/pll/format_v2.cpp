@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "pll/compact_io.hpp"
 #include "pll/ordering.hpp"
 
 namespace parapll::pll {
@@ -127,19 +126,6 @@ void WriteEntries(std::ostream& out, const LabelEntry* entries,
 
 }  // namespace
 
-bool PeekV2Magic(std::istream& in) {
-  const std::istream::pos_type pos = in.tellg();
-  if (pos == std::istream::pos_type(-1)) {
-    return false;  // unseekable stream: cannot be the mmap container
-  }
-  std::uint64_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  const bool matched = in.good() && magic == kIndexV2Magic;
-  in.clear();
-  in.seekg(pos);
-  return matched;
-}
-
 void WriteIndexV2(const Index& index, std::ostream& out) {
   const LabelStore& store = index.Store();
   const graph::VertexId n = store.NumVertices();
@@ -191,28 +177,14 @@ void WriteIndexV2(const Index& index, std::ostream& out) {
   }
 }
 
-void WriteIndexFile(const Index& index, const std::string& path,
-                    std::uint32_t format_version, bool compact) {
-  if (format_version != kIndexFormatV1 && format_version != kIndexFormatV2) {
-    throw std::runtime_error("unknown index format version " +
-                             std::to_string(format_version));
-  }
-  if (compact && format_version != kIndexFormatV1) {
-    throw std::runtime_error("the compact container is format 1 only");
-  }
+void WriteIndexFile(const Index& index, const std::string& path) {
   const std::string tmp = path + ".tmp";
   try {
     std::ofstream out(tmp, std::ios::binary);
     if (!out) {
       throw std::runtime_error("cannot open " + tmp);
     }
-    if (compact) {
-      WriteCompactIndex(index, out);
-    } else if (format_version == kIndexFormatV2) {
-      WriteIndexV2(index, out);
-    } else {
-      index.Save(out);
-    }
+    WriteIndexV2(index, out);
     out.close();
     if (!out) {
       throw std::runtime_error("cannot write " + tmp);

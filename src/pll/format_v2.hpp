@@ -1,16 +1,15 @@
-// Index format v2 — the mmap-able on-disk layout (ROADMAP item 2).
+// Index format v2 — the one on-disk index container. Builds, checkpoints
+// and every loader use it.
 //
-// v1 (Index::Save) streams the label store *without* sentinels and with
-// logical offsets, so loading always means a per-entry deserialize. v2
-// instead persists the query-stage layout verbatim: a 16-byte-aligned
+// It persists the query-stage layout verbatim: a 16-byte-aligned
 // flattened region of sentinel-terminated rows plus an offset table in
 // physical (sentinel-inclusive) entry units. `mmap` + pointer arithmetic
 // over that region is a valid QuerySentinel input with zero per-entry
 // work — the LabelSource view of label_source.hpp, over a MappedFile
 // (mapped_file.hpp).
 //
-// On-disk layout (all integers little-endian host PODs, same convention
-// as the v1 writer; positions are absolute byte offsets from file start):
+// On-disk layout (all integers little-endian host PODs; positions are
+// absolute byte offsets from file start):
 //
 //   header (80 bytes):
 //     u64 magic          "PLLIdxV2"
@@ -28,12 +27,12 @@
 //     u64 file_bytes     declared total file size
 //   regions, in file order: manifest | order | offsets | pad | entries
 //
-// The embedded manifest carries format_version == 2 (BuildManifest
-// records which container it was read from); loaders accept 1 and 2.
+// The embedded manifest carries format_version == 2; its parser also
+// accepts 1 (see BuildManifest).
 //
 // Validation contract: ReadIndexV2 (the heap loader) applies the full
-// v1-deserializer rigor — strictly sorted hubs, sentinel at every row
-// end, order permutation, bounded incremental reads. ValidateV2Mapping
+// rigor — strictly sorted hubs, sentinel at every row end, order
+// permutation, every region bounded by the bytes present. ValidateV2Mapping
 // (the mmap loader) validates everything that memory safety and
 // merge termination depend on in O(n): geometry, alignment, region
 // bounds against the *actual* file size, one sentinel per row end, and
@@ -53,7 +52,6 @@ namespace parapll::pll {
 
 inline constexpr std::uint64_t kIndexV2Magic =
     0x3256'7864'494c'4c50ULL;  // "PLLIdxV2" read as a little-endian u64
-inline constexpr std::uint32_t kIndexFormatV1 = 1;
 inline constexpr std::uint32_t kIndexFormatV2 = 2;
 inline constexpr std::uint32_t kIndexV2HeaderBytes = 80;
 
@@ -73,29 +71,21 @@ struct V2Header {
 };
 static_assert(sizeof(V2Header) == kIndexV2HeaderBytes);
 
-// True when `in` starts with the v2 magic; consumes nothing. Requires a
-// seekable stream (mirrors BuildManifest::PeekMagic).
-bool PeekV2Magic(std::istream& in);
-
 // Serializes `index` in format v2. The index's manifest is embedded with
 // format_version forced to 2. Throws std::runtime_error on I/O failure
 // or when any label row uses the reserved sentinel hub.
 void WriteIndexV2(const Index& index, std::ostream& out);
 
-// The one writer of index files. Writes `index` to `path` in container
-// `format_version` — kIndexFormatV1 (Index::Save's stream) or
-// kIndexFormatV2 (the layout above) — or, with `compact`, in the varint
-// container of compact_io.hpp (format 1 only). The bytes go to
-// `path + ".tmp"`, which is then renamed over `path`: a process that has
-// the old file open or mapped keeps reading the old bytes, and a crash
-// mid-write leaves the old file intact. Throws std::runtime_error on I/O
-// failure or an unknown format, and leaves no temp file behind.
-void WriteIndexFile(const Index& index, const std::string& path,
-                    std::uint32_t format_version, bool compact = false);
+// The one writer of index files. Writes `index` to `path` in the layout
+// above. The bytes go to `path + ".tmp"`, which is then renamed over
+// `path`: a process that has the old file open or mapped keeps reading
+// the old bytes, and a crash mid-write leaves the old file intact. Throws
+// std::runtime_error on I/O failure, and leaves no temp file behind.
+void WriteIndexFile(const Index& index, const std::string& path);
 
 // Heap loader: reads a v2 stream into an ordinary Index (LabelStore on
-// the heap), with full untrusted-input validation. v1 callers that can
-// see v2 files route here via Index::Load's magic dispatch.
+// the heap), with full untrusted-input validation. Requires a seekable
+// stream; Index::LoadFile runs it over a file.
 Index ReadIndexV2(std::istream& in);
 
 // Validated zero-copy view over a complete v2 file image (the mmap

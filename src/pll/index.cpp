@@ -48,49 +48,6 @@ std::size_t Index::MemoryBytes() const {
          (order_.size() + rank_of_.size()) * sizeof(graph::VertexId);
 }
 
-void Index::Save(std::ostream& out) const {
-  // The manifest's format_version names the container it is published
-  // in, not the one the index was loaded from — stamp it like the v2
-  // writer does, so a v2->v1 republish doesn't claim to be v2.
-  BuildManifest manifest = manifest_;
-  manifest.format_version = kIndexFormatV1;
-  manifest.Serialize(out);
-  store_.Serialize(out);
-  for (graph::VertexId v : order_) {
-    out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-  }
-}
-
-// parapll-lint: begin-untrusted-decode
-Index Index::Load(std::istream& in) {
-  // Format dispatch on the leading magic: the mmap-able v2 container gets
-  // its own reader (heap materialization with full validation).
-  if (PeekV2Magic(in)) {
-    return ReadIndexV2(in);
-  }
-  // Manifest-first layout; a stream opening directly with the label-store
-  // magic is the pre-manifest format and loads with default provenance.
-  BuildManifest manifest;
-  if (BuildManifest::PeekMagic(in)) {
-    manifest = BuildManifest::Deserialize(in);
-  }
-  LabelStore store = LabelStore::Deserialize(in);
-  std::vector<graph::VertexId> order(store.NumVertices());
-  for (auto& v : order) {
-    in.read(reinterpret_cast<char*>(&v), sizeof(v));
-  }
-  if (!in) {
-    throw std::runtime_error("truncated index stream");
-  }
-  // A corrupted order would index out of bounds in InvertOrder and make
-  // RankOf nonsense; reject it here with a recoverable error instead.
-  ValidateOrderPermutation(order);
-  Index index(std::move(store), std::move(order));
-  index.SetManifest(std::move(manifest));
-  return index;
-}
-// parapll-lint: end-untrusted-decode
-
 Index Index::LoadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -100,7 +57,7 @@ Index Index::LoadFile(const std::string& path) {
   const auto bytes = static_cast<std::size_t>(in.tellg());
   in.seekg(0);
   const std::uint64_t start_ns = obs::TraceNowNs();
-  Index index = Load(in);
+  Index index = ReadIndexV2(in);
   RecordIndexLoad(path, index.Manifest().format_version, bytes, "heap",
                   static_cast<double>(obs::TraceNowNs() - start_ns) / 1e9);
   return index;

@@ -4,8 +4,6 @@
 // callers query with their original vertex ids.
 #pragma once
 
-#include <istream>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -44,17 +42,14 @@ class Index {
 
   // Build provenance (see pll/manifest.hpp). Indexes built through the
   // unified pipeline carry a populated manifest; a default-constructed
-  // one means "unknown provenance" (hand-assembled or legacy file).
+  // one means "unknown provenance" (a hand-assembled index).
   [[nodiscard]] const BuildManifest& Manifest() const { return manifest_; }
   void SetManifest(BuildManifest manifest) { manifest_ = std::move(manifest); }
 
-  // Binary round-trip: Save |> Load == *this. Save writes the manifest in
-  // front of the store; Load accepts both that layout and the legacy
-  // manifest-less one (default manifest attached). Files are written by
-  // pll::WriteIndexFile (format_v2.hpp); LoadFile reads any of them but
-  // the compact container.
-  void Save(std::ostream& out) const;
-  static Index Load(std::istream& in);
+  // Reads an index file onto the heap (pll::ReadIndexV2 over the file,
+  // with its full validation). Files are written by pll::WriteIndexFile
+  // (format_v2.hpp). Throws std::runtime_error on I/O failure or corrupt
+  // bytes.
   static Index LoadFile(const std::string& path);
 
   friend bool operator==(const Index&, const Index&) = default;

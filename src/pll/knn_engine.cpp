@@ -70,8 +70,7 @@ std::vector<KnnResult> KnnEngine::Nearest(graph::VertexId s,
     }
     if (!emitted[entry.vertex]) {
       emitted[entry.vertex] = true;
-      PARAPLL_DCHECK(QueryRows(store.Row(rs), store.Row(entry.vertex)) ==
-                     cursor.key);
+      PARAPLL_DCHECK(store.Query(rs, entry.vertex) == cursor.key);
       results.push_back(KnnResult{index_.Order()[entry.vertex], cursor.key});
     }
   }

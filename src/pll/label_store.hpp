@@ -9,8 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <istream>
-#include <ostream>
 #include <span>
 #include <vector>
 
@@ -18,13 +16,6 @@
 #include "pll/label_source.hpp"
 
 namespace parapll::pll {
-
-// QUERY(s, t, L) over two rank-sorted rows: min over common hubs of
-// dist(hub, s) + dist(hub, t); infinity when no hub is shared. The
-// general bounds-checked form; works on any sorted rows (MutableLabels,
-// DynamicIndex). Distance sums saturate at kInfiniteDistance.
-graph::Distance QueryRows(std::span<const LabelEntry> a,
-                          std::span<const LabelEntry> b);
 
 // Growable per-vertex rows for serial indexing.
 class MutableLabels {
@@ -137,12 +128,6 @@ class LabelStore {
     return offsets_.capacity() * sizeof(std::uint64_t) +
            entries_.capacity() * sizeof(LabelEntry);
   }
-
-  // The serialized format carries no sentinels; Deserialize validates the
-  // stream (magic, monotonic offsets, sorted hub rows) and throws
-  // std::runtime_error on any corruption.
-  void Serialize(std::ostream& out) const;
-  static LabelStore Deserialize(std::istream& in);
 
   // Equal iff the flattened layouts are identical.
   friend bool operator==(const LabelStore&, const LabelStore&) = default;

@@ -140,19 +140,6 @@ BuildManifest BuildManifest::Deserialize(std::istream& in) {
 }
 // parapll-lint: end-untrusted-decode
 
-bool BuildManifest::PeekMagic(std::istream& in) {
-  const std::istream::pos_type pos = in.tellg();
-  if (pos == std::istream::pos_type(-1)) {
-    return false;  // unseekable stream: treat as legacy layout
-  }
-  std::uint64_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  const bool matched = in.good() && magic == kManifestMagic;
-  in.clear();
-  in.seekg(pos);
-  return matched;
-}
-
 std::string BuildManifest::ToJson() const {
   std::ostringstream out;
   util::JsonWriter w(out);

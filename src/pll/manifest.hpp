@@ -4,8 +4,8 @@
 // was built from (structural fingerprint), how (mode, ordering,
 // parallelism, seed), what it cost (PruneStats totals, wall time), and
 // how far the build got (roots_completed < num_vertices marks a partial
-// checkpoint; == marks a complete index). Serialized in front of the
-// label store with the same untrusted-input rigor as the store itself:
+// checkpoint; == marks a complete index). Embedded in the index file with
+// the same untrusted-input rigor as the label rows:
 // bounded reads, capped string lengths, and a hard format-version check,
 // so a corrupted or version-skewed artifact is a recoverable
 // std::runtime_error instead of nonsense labels.
@@ -23,14 +23,14 @@ namespace parapll::pll {
 struct BuildManifest {
   // Bump on any incompatible change to the artifact layout. Loaders
   // reject anything outside [kFormatVersion, kMaxFormatVersion]: a
-  // manifest is a correctness contract, not a hint. Version 1 is the
-  // streamed v1 container (Index::Save); version 2 marks the manifest as
-  // embedded in an mmap-able format-v2 container (pll/format_v2.hpp) —
-  // the manifest payload layout itself is identical in both.
+  // manifest is a correctness contract, not a hint. The version names the
+  // container: 2 is index format v2 (pll/format_v2.hpp), the only one
+  // written. 1 named the retired streamed container; its manifest payload
+  // is identical, so a version-1 manifest still parses.
   static constexpr std::uint32_t kFormatVersion = 1;
   static constexpr std::uint32_t kMaxFormatVersion = 2;
 
-  std::uint32_t format_version = kFormatVersion;
+  std::uint32_t format_version = kMaxFormatVersion;
   std::uint64_t graph_fingerprint = 0;  // graph::Fingerprint of the input
   std::uint64_t num_vertices = 0;
   std::uint64_t num_edges = 0;
@@ -62,10 +62,6 @@ struct BuildManifest {
   // string sizes up front.
   void Serialize(std::ostream& out) const;
   static BuildManifest Deserialize(std::istream& in);
-
-  // True when `in` starts with the manifest magic; consumes nothing.
-  // Requires a seekable stream (files, stringstreams).
-  static bool PeekMagic(std::istream& in);
 
   // Single-line JSON object (provenance sidecars, `parapll_cli stats`).
   [[nodiscard]] std::string ToJson() const;

@@ -26,15 +26,6 @@
 // h < r of L(r) and infinity everywhere else (the snapshot admits only
 // h < r; the reset restores infinity), so min(covered, root_dist[h] + d)
 // with a saturating sum already ignores every other hub.
-//
-// A Labels type may instead provide
-//   void AppendWithParent(VertexId v, VertexId hub, Distance dist,
-//                         VertexId parent)
-// to additionally receive v's predecessor in the root's search tree —
-// the hook path reconstruction builds on (see pll/path_index.hpp). Because
-// pruned vertices are never expanded, a labeled vertex's search-tree path
-// runs exclusively through vertices labeled with the same root, so parent
-// chains can always be walked through the label store.
 #pragma once
 
 #include <algorithm>
@@ -78,8 +69,7 @@ class PruneScratch {
  public:
   explicit PruneScratch(graph::VertexId n)
       : dist_(n, graph::kInfiniteDistance),
-        root_dist_(n, graph::kInfiniteDistance),
-        parent_(n, graph::kInvalidVertex) {}
+        root_dist_(n, graph::kInfiniteDistance) {}
 
   [[nodiscard]] graph::VertexId Size() const {
     return static_cast<graph::VertexId>(dist_.size());
@@ -87,14 +77,12 @@ class PruneScratch {
 
   std::vector<graph::Distance>& Dist() { return dist_; }
   std::vector<graph::Distance>& RootDist() { return root_dist_; }
-  std::vector<graph::VertexId>& Parent() { return parent_; }
   std::vector<graph::VertexId>& TouchedDist() { return touched_dist_; }
   std::vector<graph::VertexId>& TouchedRoot() { return touched_root_; }
 
  private:
   std::vector<graph::Distance> dist_;
   std::vector<graph::Distance> root_dist_;
-  std::vector<graph::VertexId> parent_;
   std::vector<graph::VertexId> touched_dist_;
   std::vector<graph::VertexId> touched_root_;
 };
@@ -144,17 +132,8 @@ PruneStats PrunedDijkstra(const graph::Graph& rank_graph,
   PruneStats stats;
   std::size_t witness_entries = 0;  // see RecordPruneMetrics
 
-  // Detect at compile time whether the label store wants search-tree
-  // parents along with each entry (see header comment).
-  constexpr bool kWantParents =
-      requires(Labels& l) {
-        l.AppendWithParent(graph::VertexId{}, graph::VertexId{},
-                           graph::Distance{}, graph::VertexId{});
-      };
-
   auto& dist = scratch.Dist();
   auto& root_dist = scratch.RootDist();
-  auto& parent = scratch.Parent();
   auto& touched_dist = scratch.TouchedDist();
   auto& touched_root = scratch.TouchedRoot();
   touched_dist.clear();
@@ -175,9 +154,6 @@ PruneStats PrunedDijkstra(const graph::Graph& rank_graph,
   using HeapEntry = std::pair<graph::Distance, graph::VertexId>;
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> heap;
   dist[root] = 0;
-  if constexpr (kWantParents) {
-    parent[root] = root;
-  }
   touched_dist.push_back(root);
   heap.emplace(0, root);
   ++stats.heap_pushes;
@@ -209,11 +185,7 @@ PruneStats PrunedDijkstra(const graph::Graph& rank_graph,
       continue;
     }
 
-    if constexpr (kWantParents) {
-      labels.AppendWithParent(u, root, d, parent[u]);
-    } else {
-      labels.Append(u, root, d);
-    }
+    labels.Append(u, root, d);
     ++stats.labels_added;
 
     for (const graph::Arc& arc : rank_graph.Neighbors(u)) {
@@ -224,9 +196,6 @@ PruneStats PrunedDijkstra(const graph::Graph& rank_graph,
           touched_dist.push_back(arc.target);
         }
         dist[arc.target] = nd;
-        if constexpr (kWantParents) {
-          parent[arc.target] = u;
-        }
         heap.emplace(nd, arc.target);
         ++stats.heap_pushes;
       }

@@ -7,21 +7,10 @@
 #include "obs/trace.hpp"
 #include "pll/format_v2.hpp"
 #include "pll/mapped_file.hpp"
-#include "util/logging.hpp"
 
 namespace parapll::pll {
 
 namespace {
-
-// The mmap loader needs the v2 container; a v1 stream routes to the heap
-// loader instead (see the fallback rule in servable.hpp).
-bool IsV2File(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("cannot open " + path);
-  }
-  return PeekV2Magic(in);
-}
 
 // The bytes a LabelSource views plus the view itself, in one shared
 // owner: ServableIndex::source aliases its control block.
@@ -52,11 +41,6 @@ ServableIndex ServableIndex::FromIndex(Index index) {
 
 ServableIndex ServableIndex::Load(const std::string& path,
                                   StoreBackend backend) {
-  if (backend == StoreBackend::kMmap && !IsV2File(path)) {
-    LOG_WARN("index %s is not format v2; %s backend falling back to heap",
-             path.c_str(), ToString(backend));
-    backend = StoreBackend::kHeap;
-  }
   if (backend == StoreBackend::kHeap) {
     // Index::LoadFile records the cold-start metrics itself.
     const std::uint64_t heap_start_ns = obs::TraceNowNs();

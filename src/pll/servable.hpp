@@ -6,19 +6,15 @@
 // bundles exactly that, with one Load() funnel that picks the owner of
 // the rows:
 //
-//   kHeap — Index::LoadFile (v1 or v2 stream, full deserialize), the
-//           view over its LabelStore;
-//   kMmap — a MappedFile of a format-v2 file that ValidateV2Mapping
+//   kHeap — Index::LoadFile (ReadIndexV2, full validation), the view
+//           over its LabelStore;
+//   kMmap — a MappedFile of the index file that ValidateV2Mapping
 //           accepted (zero-copy), the view over the mapping.
 //
 // `source` aliases a shared owner holding the rows and the view, so the
 // view's rows stay valid, and a mapping stays mapped, while any copy of
-// `source` lives (a QueryEngine keeps one).
-//
-// When kMmap is requested but the file is a v1 stream, the load falls
-// back to the heap path with a warning instead of failing: a hot-reload
-// watcher pointed at a republished v1 artifact keeps serving. Every load
-// records the cold-start cost (index.load_seconds + one log line, see
+// `source` lives (a QueryEngine keeps one). Every load records the
+// cold-start cost (index.load_seconds + one log line, see
 // pll::RecordIndexLoad).
 #pragma once
 
@@ -37,7 +33,7 @@ struct ServableIndex {
   std::shared_ptr<const LabelSource> source;
   std::vector<graph::VertexId> order;  // rank -> original vertex id
   StoreBackend backend = StoreBackend::kHeap;  // what actually loaded
-  std::uint32_t format_version = BuildManifest::kFormatVersion;
+  std::uint32_t format_version = BuildManifest::kMaxFormatVersion;
   std::size_t file_bytes = 0;     // 0 when wrapped from memory
   double load_seconds = 0.0;      // 0 when wrapped from memory
 
@@ -45,9 +41,8 @@ struct ServableIndex {
   // index's heap store, kept alive by a shared owner.
   [[nodiscard]] static ServableIndex FromIndex(Index index);
 
-  // Loads `path` with the requested backend (see the file comment for
-  // the fallback rule). Throws std::runtime_error on I/O or validation
-  // failure.
+  // Loads `path` with the requested backend. Throws std::runtime_error
+  // on I/O or validation failure.
   [[nodiscard]] static ServableIndex Load(const std::string& path,
                                           StoreBackend backend);
 

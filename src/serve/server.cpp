@@ -718,8 +718,8 @@ void QueryServer::TryReload() {
   last_stamp_ = stamp;
   try {
     // The configured backend decides how the republished artifact loads:
-    // heap deserializes, mmap revalidates + maps the v2 container (with
-    // heap fallback for v1 files, see pll/servable.hpp).
+    // heap deserializes, mmap revalidates + maps the file (see
+    // pll/servable.hpp). A file in any other container fails to load.
     pll::ServableIndex servable =
         pll::ServableIndex::Load(options_.watch_path, options_.backend);
     if (!servable.IsComplete()) {

@@ -99,11 +99,10 @@ struct ServeOptions {
   std::string watch_path;
   int watch_poll_ms = 200;
   // Label storage backend used when (re)loading the served index from a
-  // file (`serve --mmap`). The mmap backend needs the format-v2
-  // container and falls back to heap for v1 artifacts (see
-  // pll/servable.hpp). An mmap-backed snapshot is unmapped only after
-  // the last in-flight batch drops its Served snapshot — the RCU flip
-  // gives the unmap-after-drain guarantee for free.
+  // file (`serve --mmap`; see pll/servable.hpp). An mmap-backed
+  // snapshot is unmapped only after the last in-flight batch drops its
+  // Served snapshot — the RCU flip gives the unmap-after-drain guarantee
+  // for free.
   pll::StoreBackend backend = pll::StoreBackend::kHeap;
   // When non-null, every served pair is timed into this slow-query log
   // (with the request's wire-level trace id attached). Must outlive the

@@ -181,6 +181,8 @@ TEST(Checkpoint, ArtifactSaveLoadRoundTripsManifest) {
   outcome.artifact.Save(path);
   const IndexArtifact loaded = IndexArtifact::Load(path);
   EXPECT_EQ(loaded.Manifest(), outcome.artifact.Manifest());
+  // Format v2 is the only container an artifact is written in.
+  EXPECT_THROW(outcome.artifact.Save(path, 1), std::runtime_error);
   EXPECT_TRUE(pll::VerifySampled(g, loaded.index, 200, 31).Ok());
   std::remove(path.c_str());
 }

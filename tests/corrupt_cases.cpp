@@ -5,19 +5,10 @@
 #include "build/pipeline.hpp"
 #include "cluster/wire.hpp"
 #include "graph/generators.hpp"
-#include "pll/compact_io.hpp"
 #include "pll/format_v2.hpp"
 #include "serve/frame.hpp"
 
 namespace parapll::corpus {
-
-pll::Index MakeIndex() {
-  const graph::Graph g =
-      graph::ErdosRenyi(20, 50, {graph::WeightModel::kUniform, 10}, 42);
-  // Rebuilt without the manifest: the legacy manifest-less layout.
-  const pll::Index built = build::Run(g, {}).artifact.index;
-  return pll::Index(built.Store(), built.Order());
-}
 
 pll::Index MakeManifestedIndex() {
   const graph::Graph g =
@@ -25,27 +16,9 @@ pll::Index MakeManifestedIndex() {
   return build::Run(g, {}).artifact.index;
 }
 
-std::string StoreBytes(const pll::LabelStore& store) {
-  std::ostringstream out(std::ios::binary);
-  store.Serialize(out);
-  return out.str();
-}
-
-std::string IndexBytes(const pll::Index& index) {
-  std::ostringstream out(std::ios::binary);
-  index.Save(out);
-  return out.str();
-}
-
 std::string V2Bytes(const pll::Index& index) {
   std::ostringstream out(std::ios::binary);
   pll::WriteIndexV2(index, out);
-  return out.str();
-}
-
-std::string CompactIndexBytes(const pll::Index& index) {
-  std::ostringstream out(std::ios::binary);
-  pll::WriteCompactIndex(index, out);
   return out.str();
 }
 
@@ -108,35 +81,6 @@ std::string With(std::string bytes, std::size_t pos, T value) {
 }
 
 }  // namespace
-
-std::vector<SeedCase> LabelStoreSeeds() {
-  const pll::Index index = MakeIndex();
-  const std::string store = StoreBytes(index.Store());
-  const std::string v1 = IndexBytes(index);
-  const auto total = Peek<std::uint64_t>(store, kTotalField);
-  const auto n = Peek<std::uint64_t>(store, kNField);
-  const std::size_t entries_base =
-      kOffsetTable + 8 * static_cast<std::size_t>(n + 1);
-  return {
-      {"valid-store", store},
-      {"valid-index-v1", v1},
-      {"empty", ""},
-      {"bad-magic", Flip(store, 0)},
-      {"truncated-header", store.substr(0, 12)},
-      {"truncated-mid-entry", store.substr(0, store.size() - 5)},
-      {"decreasing-offset",
-       With<std::uint64_t>(store, kOffsetTable + 16, 0)},
-      {"offset-past-total",
-       With<std::uint64_t>(store, kOffsetTable + 8, total + 1)},
-      {"total-not-covered",
-       With<std::uint64_t>(store, kTotalField, total + 1)},
-      {"sentinel-hub-entry",
-       With<graph::VertexId>(store, entries_base, graph::kInvalidVertex)},
-      {"huge-declared-n",
-       With<std::uint64_t>(store, kNField, std::uint64_t{1} << 56)},
-      {"index-v1-truncated-order", v1.substr(0, v1.size() - 2)},
-  };
-}
 
 std::vector<SeedCase> IndexV2Seeds() {
   const pll::Index index = MakeManifestedIndex();
@@ -247,45 +191,6 @@ std::vector<SeedCase> ManifestSeeds() {
   };
 }
 
-std::vector<SeedCase> CompactSeeds() {
-  const pll::Index index = MakeIndex();
-  const std::string compact = CompactIndexBytes(index);
-  std::vector<SeedCase> seeds = {
-      {"valid", compact},
-      {"empty", ""},
-      {"bad-magic", Flip(compact, 0)},
-      {"truncated-half", compact.substr(0, compact.size() / 2)},
-      {"truncated-order", compact.substr(0, compact.size() - 2)},
-  };
-  {
-    // n < 128 keeps every order value a single varint byte at the tail;
-    // zeroing them all yields a duplicate-riddled non-permutation.
-    std::string bytes = compact;
-    for (std::size_t i = bytes.size() - index.NumVertices(); i < bytes.size();
-         ++i) {
-      bytes[i] = 0;
-    }
-    seeds.push_back({"non-permutation-order", std::move(bytes)});
-  }
-  {
-    // magic, n = 1, row count = 2^50, then nothing.
-    std::ostringstream out(std::ios::binary);
-    pll::WriteVarint(out, 0x504c4c7a69703176ULL);  // "PLLzip1v"
-    pll::WriteVarint(out, 1);
-    pll::WriteVarint(out, std::uint64_t{1} << 50);
-    seeds.push_back({"huge-declared-row-count", out.str()});
-  }
-  {
-    // magic, n = 2^50: the reader must fail on the missing row bytes,
-    // never allocate n rows up front.
-    std::ostringstream out(std::ios::binary);
-    pll::WriteVarint(out, 0x504c4c7a69703176ULL);
-    pll::WriteVarint(out, std::uint64_t{1} << 50);
-    seeds.push_back({"huge-declared-n", out.str()});
-  }
-  return seeds;
-}
-
 std::vector<SeedCase> ClusterWireSeeds() {
   const std::string wire = WirePayloadBytes();
   return {
@@ -360,10 +265,8 @@ std::vector<SeedCase> GraphTextSeeds() {
 
 std::vector<SeedTarget> AllSeedTargets() {
   return {
-      {"label_store", LabelStoreSeeds()},
       {"index_v2", IndexV2Seeds()},
       {"manifest", ManifestSeeds()},
-      {"compact", CompactSeeds()},
       {"cluster_wire", ClusterWireSeeds()},
       {"serve_frame", ServeFrameSeeds()},
       {"graph_text", GraphTextSeeds()},

@@ -21,19 +21,13 @@ namespace parapll::corpus {
 
 // --- deterministic index builders --------------------------------------
 
-// Small serial-built index (ErdosRenyi 20/50, seed 42), no provenance.
-pll::Index MakeIndex();
-
 // Pipeline-built index (ErdosRenyi 24/60, seed 6) whose manifest carries
 // real provenance — the base for manifest and v2-container corpora.
 pll::Index MakeManifestedIndex();
 
 // --- serializers -------------------------------------------------------
 
-std::string StoreBytes(const pll::LabelStore& store);
-std::string IndexBytes(const pll::Index& index);  // v1 container
-std::string V2Bytes(const pll::Index& index);     // v2 container
-std::string CompactIndexBytes(const pll::Index& index);
+std::string V2Bytes(const pll::Index& index);  // the index file container
 std::string ManifestBytes(const pll::BuildManifest& manifest);
 
 // Canonical wire / frame / text samples used by the corruption suites.
@@ -45,13 +39,6 @@ std::string OkResponsePayload();          // prefix stripped
 std::string SampleGraphText();            // valid "u v w" edge list
 
 // --- byte-layout constants ---------------------------------------------
-
-// Serialized LabelStore layout (all little-endian pods):
-//   [0, 8) magic "LablSto1" | [8, 16) n | [16, 24) total logical entries
-//   [24, 24 + 8*(n+1)) logical offsets | then u32 hub + u64 dist each
-inline constexpr std::size_t kNField = 8;
-inline constexpr std::size_t kTotalField = 16;
-inline constexpr std::size_t kOffsetTable = 24;
 
 // Serialized manifest layout (see pll/manifest.cpp):
 //   [0, 8) magic "PPManft1" | [8, 12) format_version | [12, 20)
@@ -109,10 +96,8 @@ struct SeedCase {
 // harness in fuzz/fuzz_<target>.cpp. Each list mixes valid encodings
 // (so the fuzzer starts from deep coverage) with every corruption class
 // the gtests pin down.
-std::vector<SeedCase> LabelStoreSeeds();   // LabelStore + v1 Index::Load
 std::vector<SeedCase> IndexV2Seeds();      // ReadIndexV2 / ValidateV2Mapping
 std::vector<SeedCase> ManifestSeeds();     // BuildManifest::Deserialize
-std::vector<SeedCase> CompactSeeds();      // ReadCompactIndex
 std::vector<SeedCase> ClusterWireSeeds();  // cluster::DecodeUpdates
 std::vector<SeedCase> ServeFrameSeeds();   // serve::FrameReader + decoders
 std::vector<SeedCase> GraphTextSeeds();    // graph::ReadEdgeListText

@@ -19,7 +19,6 @@
 #include "serve/frame.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
-#include "pll/compact_io.hpp"
 #include "pll/format_v2.hpp"
 #include "pll/index.hpp"
 #include "pll/label_store.hpp"
@@ -36,168 +35,36 @@ using pll::LabelStore;
 // Builders, byte-surgery helpers, and the serialized-layout offsets all
 // live in corrupt_cases.{hpp,cpp} — one source of truth shared with the
 // fuzz seed corpora (fuzz/export_corpus).
-using corpus::IndexBytes;
-using corpus::MakeIndex;
 using corpus::MakeManifestedIndex;
 using corpus::Patch;
 using corpus::Peek;
-using corpus::StoreBytes;
 using corpus::V2Bytes;
-using corpus::kNField;
-using corpus::kOffsetTable;
-using corpus::kTotalField;
-
-LabelStore DeserializeBytes(const std::string& bytes) {
-  std::istringstream in(bytes, std::ios::binary);
-  return LabelStore::Deserialize(in);
-}
 
 pll::Index LoadIndexBytes(const std::string& bytes) {
   std::istringstream in(bytes, std::ios::binary);
-  return pll::Index::Load(in);
+  return pll::ReadIndexV2(in);
 }
 
-TEST(CorruptLabelStore, RoundTripIsByteExact) {
-  const pll::Index index = MakeIndex();
-  const std::string bytes = StoreBytes(index.Store());
-  EXPECT_EQ(DeserializeBytes(bytes), index.Store());
+// ValidateV2Mapping demands a 16-byte-aligned base (mmap gives pages);
+// vector<LabelEntry> reproduces that alignment for in-memory corpora.
+void ExpectMappingThrows(const std::string& bytes) {
+  std::vector<pll::LabelEntry> aligned((bytes.size() + 15) / 16 + 1);
+  std::memcpy(aligned.data(), bytes.data(), bytes.size());
+  EXPECT_THROW((void)pll::ValidateV2Mapping(
+                   reinterpret_cast<const char*>(aligned.data()),
+                   bytes.size()),
+               std::runtime_error);
 }
 
-TEST(CorruptLabelStore, BadMagicThrows) {
-  std::string bytes = StoreBytes(MakeIndex().Store());
-  bytes[0] ^= 0x5a;
-  EXPECT_THROW(DeserializeBytes(bytes), std::runtime_error);
-}
-
-// Deserialize consumes the stream exactly, so cutting it anywhere —
-// header, offset table, or mid-entry — must throw, never misparse.
-TEST(CorruptLabelStore, EveryTruncationThrows) {
-  const std::string bytes = StoreBytes(MakeIndex().Store());
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    EXPECT_THROW(DeserializeBytes(bytes.substr(0, len)), std::runtime_error)
-        << "prefix of " << len << " bytes parsed";
-  }
-}
-
-TEST(CorruptLabelStore, DecreasingOffsetThrows) {
-  std::string bytes = StoreBytes(MakeIndex().Store());
-  // Row 0 (rank 0's own label) is non-empty, so offsets[1] >= 1 and
-  // forcing offsets[2] back to 0 breaks monotonicity.
-  ASSERT_GE(Peek<std::uint64_t>(bytes, kOffsetTable + 8), 1u);
-  Patch<std::uint64_t>(bytes, kOffsetTable + 16, 0);
-  EXPECT_THROW(DeserializeBytes(bytes), std::runtime_error);
-}
-
-TEST(CorruptLabelStore, OffsetPastTotalThrows) {
-  std::string bytes = StoreBytes(MakeIndex().Store());
-  const auto total = Peek<std::uint64_t>(bytes, kTotalField);
-  Patch<std::uint64_t>(bytes, kOffsetTable + 8, total + 1);
-  EXPECT_THROW(DeserializeBytes(bytes), std::runtime_error);
-}
-
-TEST(CorruptLabelStore, OffsetTableNotCoveringTotalThrows) {
-  std::string bytes = StoreBytes(MakeIndex().Store());
-  const auto total = Peek<std::uint64_t>(bytes, kTotalField);
-  Patch<std::uint64_t>(bytes, kTotalField, total + 1);
-  EXPECT_THROW(DeserializeBytes(bytes), std::runtime_error);
-}
-
-TEST(CorruptLabelStore, SentinelHubInEntryThrows) {
-  std::string bytes = StoreBytes(MakeIndex().Store());
-  const auto n = Peek<std::uint64_t>(bytes, kNField);
-  const std::size_t entries_base =
-      kOffsetTable + 8 * static_cast<std::size_t>(n + 1);
-  Patch<graph::VertexId>(bytes, entries_base, graph::kInvalidVertex);
-  EXPECT_THROW(DeserializeBytes(bytes), std::runtime_error);
-}
-
-TEST(CorruptLabelStore, UnsortedHubsThrow) {
-  std::string bytes = StoreBytes(MakeIndex().Store());
-  const auto n = Peek<std::uint64_t>(bytes, kNField);
-  const std::size_t entries_base =
-      kOffsetTable + 8 * static_cast<std::size_t>(n + 1);
-  // Find a row with at least two entries and make its second hub equal
-  // to its first, breaking the strictly-sorted invariant.
-  std::uint64_t previous = 0;
-  for (std::uint64_t v = 1; v <= n; ++v) {
-    const auto offset =
-        Peek<std::uint64_t>(bytes, kOffsetTable + 8 * static_cast<std::size_t>(v));
-    if (offset - previous >= 2) {
-      const std::size_t row = entries_base + 12 * static_cast<std::size_t>(previous);
-      Patch<graph::VertexId>(bytes, row + 12, Peek<graph::VertexId>(bytes, row));
-      EXPECT_THROW(DeserializeBytes(bytes), std::runtime_error);
-      return;
-    }
-    previous = offset;
-  }
-  FAIL() << "test graph produced no row with two entries";
-}
-
-// A header advertising an absurd vertex count must fail on the missing
-// bytes, not attempt an n-proportional allocation first.
-TEST(CorruptLabelStore, HugeDeclaredVertexCountThrows) {
-  std::string bytes = StoreBytes(MakeIndex().Store());
-  Patch<std::uint64_t>(bytes, kNField, std::uint64_t{1} << 56);
-  EXPECT_THROW(DeserializeBytes(bytes), std::runtime_error);
+void ExpectBothLoadersThrow(const std::string& bytes) {
+  EXPECT_THROW(LoadIndexBytes(bytes), std::runtime_error);
+  ExpectMappingThrows(bytes);
 }
 
 TEST(CorruptLabelStore, FromRowsRejectsSentinelHub) {
   std::vector<std::vector<LabelEntry>> rows(1);
   rows[0].push_back(LabelEntry{graph::kInvalidVertex, 3});
   EXPECT_THROW(LabelStore::FromRows(std::move(rows)), std::runtime_error);
-}
-
-TEST(CorruptIndex, TruncatedOrderThrows) {
-  const std::string bytes = IndexBytes(MakeIndex());
-  EXPECT_THROW(LoadIndexBytes(bytes.substr(0, bytes.size() - 2)),
-               std::runtime_error);
-}
-
-TEST(CorruptIndex, DuplicateOrderEntryThrows) {
-  const pll::Index index = MakeIndex();
-  std::string bytes = IndexBytes(index);
-  const std::size_t order_base =
-      bytes.size() - sizeof(graph::VertexId) * index.NumVertices();
-  Patch<graph::VertexId>(
-      bytes, order_base,
-      Peek<graph::VertexId>(bytes, order_base + sizeof(graph::VertexId)));
-  EXPECT_THROW(LoadIndexBytes(bytes), std::runtime_error);
-}
-
-TEST(CorruptIndex, OutOfRangeOrderEntryThrows) {
-  const pll::Index index = MakeIndex();
-  std::string bytes = IndexBytes(index);
-  const std::size_t order_base =
-      bytes.size() - sizeof(graph::VertexId) * index.NumVertices();
-  Patch<graph::VertexId>(bytes, order_base, index.NumVertices() + 7);
-  EXPECT_THROW(LoadIndexBytes(bytes), std::runtime_error);
-}
-
-TEST(CorruptCompact, NonPermutationOrderThrows) {
-  const pll::Index index = MakeIndex();
-  std::ostringstream out(std::ios::binary);
-  pll::WriteCompactIndex(index, out);
-  std::string bytes = out.str();
-  // n < 128, so each order value is a single varint byte at the tail;
-  // zeroing them all yields a duplicate-riddled non-permutation.
-  ASSERT_LT(index.NumVertices(), 128u);
-  for (std::size_t i = bytes.size() - index.NumVertices(); i < bytes.size();
-       ++i) {
-    bytes[i] = 0;
-  }
-  std::istringstream in(bytes, std::ios::binary);
-  EXPECT_THROW(pll::ReadCompactIndex(in), std::runtime_error);
-}
-
-TEST(CorruptCompact, HugeDeclaredRowCountThrows) {
-  // magic, n = 1, row count = 2^50, then nothing: the reader must hit the
-  // missing entry bytes instead of reserving 2^50 slots.
-  std::ostringstream out(std::ios::binary);
-  pll::WriteVarint(out, 0x504c4c7a69703176ULL);  // "PLLzip1v"
-  pll::WriteVarint(out, 1);
-  pll::WriteVarint(out, std::uint64_t{1} << 50);
-  std::istringstream in(out.str(), std::ios::binary);
-  EXPECT_THROW(pll::ReadCompactStore(in), std::runtime_error);
 }
 
 cluster::Payload SamplePayload() {
@@ -242,12 +109,6 @@ TEST(Saturation, SaturatingAddClampsAtInfinity) {
 
 // Regression: two huge label distances used to wrap to a tiny sum and
 // report a bogus short path; they must saturate to "not connected".
-TEST(Saturation, QueryRowsDoesNotWrap) {
-  const std::vector<LabelEntry> a = {{0, std::uint64_t{1} << 63}};
-  const std::vector<LabelEntry> b = {{0, std::uint64_t{1} << 63}};
-  EXPECT_EQ(pll::QueryRows(a, b), graph::kInfiniteDistance);
-}
-
 TEST(Saturation, QuerySentinelDoesNotWrap) {
   const std::vector<LabelEntry> a = {
       {0, std::uint64_t{1} << 63},
@@ -275,97 +136,86 @@ TEST(Saturation, PrunedDijkstraDoesNotPruneOnWrappedSum) {
   EXPECT_EQ(labels.Row(0).back(), (LabelEntry{1, 5}));
 }
 
-// Build-manifest hardening. An IndexArtifact's bytes open with the
-// manifest (magic, version, identity, knobs, cursor); every corruption of
-// that header must be a recoverable std::runtime_error, and a
-// pre-manifest stream (raw store + order) must still load with default
-// provenance.
+// Build-manifest hardening. Every index file embeds its manifest (magic,
+// version, identity, knobs, cursor) right after the v2 header; every
+// corruption of it must be a recoverable std::runtime_error from both
+// loaders.
 //
-// Manifest layout offsets come from corrupt_cases.hpp; they apply to the
-// index container too because a manifested index opens with the manifest.
+// Manifest layout offsets come from corrupt_cases.hpp; kManifestAt turns
+// them into file offsets.
+using corpus::ManifestBytes;
 using corpus::RootsCursorOffset;
 using corpus::kManifestModeLen;
+using corpus::kManifestNumVertices;
 using corpus::kManifestVersion;
+constexpr std::size_t kManifestAt = pll::kIndexV2HeaderBytes;
 
 TEST(CorruptManifest, RoundTripPreservesProvenance) {
   const pll::Index index = MakeManifestedIndex();
-  const pll::Index loaded = LoadIndexBytes(IndexBytes(index));
+  const pll::Index loaded = LoadIndexBytes(V2Bytes(index));
   EXPECT_EQ(loaded.Manifest(), index.Manifest());
   EXPECT_EQ(loaded.Manifest().mode, "serial");
   EXPECT_TRUE(loaded.Manifest().IsComplete());
 }
 
-TEST(CorruptManifest, BadMagicFallsThroughAndThrows) {
-  // A broken manifest magic demotes the stream to the legacy layout, whose
-  // store parser must then reject the garbage — corrupt in, error out.
-  std::string bytes = IndexBytes(MakeManifestedIndex());
-  bytes[0] ^= 0x5a;
-  EXPECT_THROW(LoadIndexBytes(bytes), std::runtime_error);
+TEST(CorruptManifest, BadMagicThrows) {
+  std::string bytes = V2Bytes(MakeManifestedIndex());
+  bytes[kManifestAt] ^= 0x5a;
+  ExpectBothLoadersThrow(bytes);
 }
 
 TEST(CorruptManifest, VersionMismatchThrows) {
-  std::string bytes = IndexBytes(MakeManifestedIndex());
-  Patch<std::uint32_t>(bytes, kManifestVersion,
+  std::string bytes = V2Bytes(MakeManifestedIndex());
+  Patch<std::uint32_t>(bytes, kManifestAt + kManifestVersion,
                        pll::BuildManifest::kMaxFormatVersion + 1);
-  EXPECT_THROW(LoadIndexBytes(bytes), std::runtime_error);
+  ExpectBothLoadersThrow(bytes);
 }
 
-// format_version 2 marks a manifest embedded in the v2 container; the
-// payload layout is unchanged, so loaders accept the whole [1, max] range.
-TEST(CorruptManifest, EmbeddedContainerVersionIsAccepted) {
-  std::string bytes = IndexBytes(MakeManifestedIndex());
-  Patch<std::uint32_t>(bytes, kManifestVersion,
-                       pll::BuildManifest::kMaxFormatVersion);
+// The manifest payload has one layout for versions [1, max], so the
+// loaders accept the whole range, not only the 2 the writer stamps.
+TEST(CorruptManifest, EveryPayloadVersionIsAccepted) {
+  std::string bytes = V2Bytes(MakeManifestedIndex());
+  Patch<std::uint32_t>(bytes, kManifestAt + kManifestVersion,
+                       pll::BuildManifest::kFormatVersion);
   EXPECT_EQ(LoadIndexBytes(bytes).Manifest().format_version,
-            pll::BuildManifest::kMaxFormatVersion);
+            pll::BuildManifest::kFormatVersion);
 }
 
 TEST(CorruptManifest, OversizedNameLengthThrows) {
-  std::string bytes = IndexBytes(MakeManifestedIndex());
-  Patch<std::uint32_t>(bytes, kManifestModeLen, 1000);  // cap is 64
-  EXPECT_THROW(LoadIndexBytes(bytes), std::runtime_error);
+  std::string bytes = V2Bytes(MakeManifestedIndex());
+  Patch<std::uint32_t>(bytes, kManifestAt + kManifestModeLen,
+                       1000);  // cap is 64
+  ExpectBothLoadersThrow(bytes);
 }
 
 TEST(CorruptManifest, CursorBeyondVertexCountThrows) {
   const pll::Index index = MakeManifestedIndex();
-  std::string bytes = IndexBytes(index);
-  Patch<std::uint64_t>(bytes, RootsCursorOffset(bytes),
+  std::string bytes = V2Bytes(index);
+  const std::string manifest = ManifestBytes(index.Manifest());
+  ASSERT_EQ(bytes.substr(kManifestAt, manifest.size()), manifest);
+  Patch<std::uint64_t>(bytes, kManifestAt + RootsCursorOffset(manifest),
                        index.NumVertices() + 100);
-  EXPECT_THROW(LoadIndexBytes(bytes), std::runtime_error);
+  ExpectBothLoadersThrow(bytes);
 }
 
+// Deserialize reads field by field, so cutting the manifest anywhere past
+// its magic must throw, never misparse.
 TEST(CorruptManifest, EveryManifestTruncationThrows) {
-  const pll::Index index = MakeManifestedIndex();
-  const std::string bytes = IndexBytes(index);
-  std::ostringstream manifest_out(std::ios::binary);
-  index.Manifest().Serialize(manifest_out);
-  const std::size_t manifest_size = manifest_out.str().size();
-  // Cut inside the manifest (past the magic, so the manifest parser — not
-  // the legacy fallback — sees the truncation).
-  for (std::size_t len = 8; len < manifest_size; ++len) {
-    EXPECT_THROW(LoadIndexBytes(bytes.substr(0, len)), std::runtime_error)
+  const std::string bytes = ManifestBytes(MakeManifestedIndex().Manifest());
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    std::istringstream in(bytes.substr(0, len), std::ios::binary);
+    EXPECT_THROW((void)pll::BuildManifest::Deserialize(in),
+                 std::runtime_error)
         << "manifest prefix of " << len << " bytes parsed";
   }
 }
 
-TEST(CorruptManifest, LegacyStreamWithoutManifestStillLoads) {
-  const pll::Index index = MakeManifestedIndex();
-  const std::string bytes = IndexBytes(index);
-  std::ostringstream manifest_out(std::ios::binary);
-  index.Manifest().Serialize(manifest_out);
-  // Strip the manifest: what remains is the pre-manifest store + order
-  // layout old index files use.
-  const pll::Index loaded =
-      LoadIndexBytes(bytes.substr(manifest_out.str().size()));
-  EXPECT_EQ(loaded.Manifest(), pll::BuildManifest{});
-  EXPECT_EQ(loaded.Store(), index.Store());
-}
-
 // Format-v2 container hardening. The same corrupt bytes go through BOTH
-// loaders: the heap reader (ReadIndexV2 via Index::Load, full per-entry
-// rigor) and the zero-copy mapping validator (ValidateV2Mapping, the O(n)
-// pass the mmap load runs before serving pointers into the file). Every corruption must throw from both — except in-row hub
-// order, which is deliberately only the heap loader's job.
+// loaders: the heap reader (ReadIndexV2, full per-entry rigor) and the
+// zero-copy mapping validator (ValidateV2Mapping, the O(n) pass the mmap
+// load runs before serving pointers into the file). Every corruption must
+// throw from both — except in-row hub order, which is deliberately only
+// the heap loader's job.
 //
 // V2Header layout offsets come from corrupt_cases.hpp.
 using corpus::kV2EntriesPos;
@@ -374,22 +224,6 @@ using corpus::kV2NumVertices;
 using corpus::kV2OffsetsPos;
 using corpus::kV2OrderPos;
 using corpus::kV2Version;
-
-// ValidateV2Mapping demands a 16-byte-aligned base (mmap gives pages);
-// vector<LabelEntry> reproduces that alignment for in-memory corpora.
-void ExpectMappingThrows(const std::string& bytes) {
-  std::vector<pll::LabelEntry> aligned((bytes.size() + 15) / 16 + 1);
-  std::memcpy(aligned.data(), bytes.data(), bytes.size());
-  EXPECT_THROW((void)pll::ValidateV2Mapping(
-                   reinterpret_cast<const char*>(aligned.data()),
-                   bytes.size()),
-               std::runtime_error);
-}
-
-void ExpectBothLoadersThrow(const std::string& bytes) {
-  EXPECT_THROW(LoadIndexBytes(bytes), std::runtime_error);
-  ExpectMappingThrows(bytes);
-}
 
 TEST(CorruptIndexV2, RoundTripLoadsThroughBothPaths) {
   const pll::Index index = MakeManifestedIndex();
@@ -409,8 +243,6 @@ TEST(CorruptIndexV2, RoundTripLoadsThroughBothPaths) {
 TEST(CorruptIndexV2, BadMagicThrows) {
   std::string bytes = V2Bytes(MakeManifestedIndex());
   bytes[0] ^= 0x5a;
-  // A broken v2 magic demotes Index::Load to the v1 path, which must then
-  // reject the bytes; the mapping validator rejects the magic directly.
   ExpectBothLoadersThrow(bytes);
 }
 
@@ -499,6 +331,15 @@ TEST(CorruptIndexV2, NonPermutationOrderThrows) {
   ExpectBothLoadersThrow(bytes);
 }
 
+TEST(CorruptIndex, OutOfRangeOrderEntryThrows) {
+  const pll::Index index = MakeManifestedIndex();
+  std::string bytes = V2Bytes(index);
+  const auto order_pos =
+      static_cast<std::size_t>(Peek<std::uint64_t>(bytes, kV2OrderPos));
+  Patch<graph::VertexId>(bytes, order_pos, index.NumVertices() + 7);
+  ExpectBothLoadersThrow(bytes);
+}
+
 TEST(CorruptIndexV2, HugeDeclaredVertexCountThrows) {
   std::string bytes = V2Bytes(MakeManifestedIndex());
   Patch<std::uint64_t>(bytes, kV2NumVertices, std::uint64_t{1} << 56);
@@ -508,9 +349,7 @@ TEST(CorruptIndexV2, HugeDeclaredVertexCountThrows) {
 TEST(CorruptIndexV2, EmbeddedManifestVertexMismatchThrows) {
   const pll::Index index = MakeManifestedIndex();
   std::string bytes = V2Bytes(index);
-  // Embedded manifest starts at byte 80; its num_vertices field sits at
-  // manifest offset 20 (see the v1 manifest layout above).
-  Patch<std::uint64_t>(bytes, pll::kIndexV2HeaderBytes + 20,
+  Patch<std::uint64_t>(bytes, kManifestAt + kManifestNumVertices,
                        index.NumVertices() + 5);
   ExpectBothLoadersThrow(bytes);
 }
@@ -558,8 +397,7 @@ TEST(CorruptIndexV2, UnsortedHubsRejectedByHeapLoaderOnly) {
 #if PARAPLL_HAVE_MMAP
 // The full file path: the mmap load must reject every corrupt file of the
 // v2 seed corpus with a recoverable error, and never serve pointers into
-// it. In-row hub order is the one corruption it accepts (see above); a
-// broken magic routes the file to the heap loader, which rejects it.
+// it. In-row hub order is the one corruption it accepts (see above).
 TEST(CorruptIndexV2, MmapOpenRejectsCorruptFile) {
   const std::string path = ::testing::TempDir() + "parapll_corrupt_v2." +
                            std::to_string(::getpid()) + ".idx";

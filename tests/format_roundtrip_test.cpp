@@ -1,18 +1,14 @@
-// Cross-container round-trip properties and degenerate-shape coverage.
+// Index-file round-trip properties and degenerate-shape coverage.
 //
-// The containers (v1 Index::Save, v2 WriteIndexV2, compact varint) all
-// persist the same logical object, so conversion must be lossless:
-//   * v1 -> v2 -> v1 reproduces the original v1 bytes exactly, once the
-//     manifest's container stamp (format_version, which records where
-//     the manifest was read from) is restored;
+// The v2 container (WriteIndexV2) persists the index losslessly:
 //   * v2 -> load -> v2 is byte-idempotent with no adjustment at all;
 //   * v2 entries carry zero padding bytes, so two serial builds of one
 //     graph write identical v2 files.
 //
 // The degenerate shapes — a zero-vertex index and an all-empty-rows
-// index — must survive every backend (heap v1, heap v2, compact, mmap),
-// because they are exactly the shapes ad-hoc loader arithmetic tends to
-// get wrong (n == 0 offset tables, rows that are only a sentinel).
+// index — must survive both backends (heap and mmap), because they are
+// exactly the shapes ad-hoc loader arithmetic tends to get wrong (n == 0
+// offset tables, rows that are only a sentinel).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -29,7 +25,6 @@
 #include "corrupt_cases.hpp"
 #include "graph/generators.hpp"
 #include "graph/types.hpp"
-#include "pll/compact_io.hpp"
 #include "pll/format_v2.hpp"
 #include "pll/index.hpp"
 #include "pll/label_store.hpp"
@@ -39,7 +34,6 @@
 namespace parapll {
 namespace {
 
-using corpus::IndexBytes;
 using corpus::MakeManifestedIndex;
 using corpus::V2Bytes;
 
@@ -48,30 +42,9 @@ std::string BackendTempPath(const char* name) {
          std::to_string(::getpid()) + ".v2";
 }
 
-pll::Index LoadV1(const std::string& bytes) {
-  std::istringstream in(bytes, std::ios::binary);
-  return pll::Index::Load(in);
-}
-
 pll::Index LoadV2(const std::string& bytes) {
   std::istringstream in(bytes, std::ios::binary);
   return pll::ReadIndexV2(in);
-}
-
-TEST(FormatRoundTrip, V1ToV2ToV1IsByteStable) {
-  const pll::Index original = MakeManifestedIndex();
-  const std::string v1 = IndexBytes(original);
-
-  pll::Index through_v2 = LoadV2(V2Bytes(LoadV1(v1)));
-  // The only legitimate difference: the v2 container restamps the
-  // embedded manifest's format_version to 2. Restore it and the v1
-  // encodings must match byte for byte.
-  EXPECT_EQ(through_v2.Manifest().format_version, pll::kIndexFormatV2);
-  pll::BuildManifest manifest = through_v2.Manifest();
-  manifest.format_version = original.Manifest().format_version;
-  through_v2.SetManifest(manifest);
-
-  EXPECT_EQ(IndexBytes(through_v2), v1);
 }
 
 TEST(FormatRoundTrip, V2ToV2IsByteIdempotent) {
@@ -117,7 +90,7 @@ TEST(FormatRoundTrip, SerialBuildsWriteByteIdenticalV2Files) {
     manifest.created_unix = 0;
     index.SetManifest(manifest);
     const std::string path = BackendTempPath(tag);
-    pll::WriteIndexFile(index, path, pll::kIndexFormatV2);
+    pll::WriteIndexFile(index, path);
     std::ifstream in(path, std::ios::binary);
     files.emplace_back(std::istreambuf_iterator<char>(in),
                        std::istreambuf_iterator<char>());
@@ -127,19 +100,9 @@ TEST(FormatRoundTrip, SerialBuildsWriteByteIdenticalV2Files) {
   EXPECT_TRUE(files[0] == files[1]);  // == avoids dumping the bytes
 }
 
-TEST(FormatRoundTrip, CompactPreservesTheIndex) {
-  const pll::Index original = MakeManifestedIndex();
-  std::ostringstream out(std::ios::binary);
-  pll::WriteCompactIndex(original, out);
-  std::istringstream in(out.str(), std::ios::binary);
-  const pll::Index again = pll::ReadCompactIndex(in);
-  EXPECT_EQ(again.Store(), original.Store());
-  EXPECT_EQ(again.Order(), original.Order());
-}
-
 // --- degenerate shapes through every backend ---------------------------
 
-// Runs `index` through v1, v2-heap, compact, and (where available) the
+// Runs `index` through the v2 heap loader and (where available) the
 // zero-copy mmap backend, checking the given probe distance.
 void ExerciseAllBackends(const pll::Index& index, const char* tag,
                          graph::VertexId probe_s, graph::VertexId probe_t,
@@ -147,26 +110,17 @@ void ExerciseAllBackends(const pll::Index& index, const char* tag,
   SCOPED_TRACE(tag);
   const auto n = index.NumVertices();
 
-  const pll::Index v1 = LoadV1(IndexBytes(index));
-  EXPECT_EQ(v1.NumVertices(), n);
-
   const std::string v2 = V2Bytes(index);
   const pll::Index heap = LoadV2(v2);
   EXPECT_EQ(heap.NumVertices(), n);
 
-  std::ostringstream compact(std::ios::binary);
-  pll::WriteCompactIndex(index, compact);
-  std::istringstream compact_in(compact.str(), std::ios::binary);
-  EXPECT_EQ(pll::ReadCompactIndex(compact_in).NumVertices(), n);
-
   if (n > 0) {
-    EXPECT_EQ(v1.Query(probe_s, probe_t), expected);
     EXPECT_EQ(heap.Query(probe_s, probe_t), expected);
   }
 
 #ifdef PARAPLL_HAVE_MMAP
   const std::string path = BackendTempPath(tag);
-  pll::WriteIndexFile(index, path, pll::kIndexFormatV2);
+  pll::WriteIndexFile(index, path);
   const pll::ServableIndex mapped =
       pll::ServableIndex::Load(path, pll::StoreBackend::kMmap);
   EXPECT_EQ(mapped.backend, pll::StoreBackend::kMmap);
@@ -186,12 +140,6 @@ TEST(DegenerateShapes, ZeroVertexIndexSurvivesEveryBackend) {
   const pll::Index empty(pll::LabelStore::FromRows({}), {});
   EXPECT_EQ(empty.NumVertices(), 0u);
   ExerciseAllBackends(empty, "zero_vertex", 0, 0, 0);
-
-  // The direct store serializers handle n == 0 too.
-  std::ostringstream out(std::ios::binary);
-  empty.Store().Serialize(out);
-  std::istringstream in(out.str(), std::ios::binary);
-  EXPECT_EQ(pll::LabelStore::Deserialize(in).NumVertices(), 0u);
 }
 
 TEST(DegenerateShapes, ZeroLabelRowsSurviveEveryBackend) {

@@ -26,10 +26,8 @@
 #include "corrupt_cases.hpp"
 
 extern "C" {
-int FuzzEntry_label_store(const std::uint8_t* data, std::size_t size);
 int FuzzEntry_index_v2(const std::uint8_t* data, std::size_t size);
 int FuzzEntry_manifest(const std::uint8_t* data, std::size_t size);
-int FuzzEntry_compact(const std::uint8_t* data, std::size_t size);
 int FuzzEntry_cluster_wire(const std::uint8_t* data, std::size_t size);
 int FuzzEntry_serve_frame(const std::uint8_t* data, std::size_t size);
 int FuzzEntry_graph_text(const std::uint8_t* data, std::size_t size);
@@ -45,10 +43,8 @@ using FuzzEntry = int (*)(const std::uint8_t*, std::size_t);
 // Keyed by corpus directory name — must cover PARAPLL_FUZZ_TARGETS.
 const std::map<std::string, FuzzEntry>& Entries() {
   static const std::map<std::string, FuzzEntry> entries = {
-      {"label_store", &FuzzEntry_label_store},
       {"index_v2", &FuzzEntry_index_v2},
       {"manifest", &FuzzEntry_manifest},
-      {"compact", &FuzzEntry_compact},
       {"cluster_wire", &FuzzEntry_cluster_wire},
       {"serve_frame", &FuzzEntry_serve_frame},
       {"graph_text", &FuzzEntry_graph_text},

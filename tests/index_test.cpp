@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "graph/generators.hpp"
 #include "build/pipeline.hpp"
 #include "pll/format_v2.hpp"
@@ -39,34 +37,13 @@ TEST(IndexTest, SelfQueryIsZero) {
   }
 }
 
-TEST(IndexTest, SaveLoadRoundTrip) {
-  const Graph g = graph::BarabasiAlbert(70, 3, kUniform, 3);
-  const Index index = BuildTestIndex(g);
-  std::stringstream buffer;
-  index.Save(buffer);
-  const Index loaded = Index::Load(buffer);
-  EXPECT_EQ(index, loaded);
-  const auto verdict = VerifyExhaustive(g, loaded);
-  EXPECT_TRUE(verdict.Ok()) << verdict.ToString();
-}
-
 TEST(IndexTest, SaveLoadFileRoundTrip) {
   const Graph g = graph::Cycle(20, kUniform, 4);
   const Index index = BuildTestIndex(g);
   const std::string path = testing::TempDir() + "/parapll_index_test.bin";
-  WriteIndexFile(index, path, kIndexFormatV1);
+  WriteIndexFile(index, path);
   const Index loaded = Index::LoadFile(path);
   EXPECT_EQ(index, loaded);
-}
-
-TEST(IndexTest, LoadRejectsTruncatedStream) {
-  const Graph g = graph::Path(10, kUniform, 5);
-  const Index index = BuildTestIndex(g);
-  std::stringstream buffer;
-  index.Save(buffer);
-  const std::string full = buffer.str();
-  std::stringstream truncated(full.substr(0, full.size() - 8));
-  EXPECT_THROW(Index::Load(truncated), std::runtime_error);
 }
 
 TEST(IndexTest, MemoryBytesScalesWithEntries) {

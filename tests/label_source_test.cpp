@@ -79,7 +79,7 @@ TEST(FormatV2Test, FileRoundTripPreservesStoreOrderAndManifest) {
   const build::BuildOutcome built = build::Run(g, {});
   const pll::Index& index = built.artifact.index;
   const std::string path = TempPath("roundtrip");
-  pll::WriteIndexFile(index, path, pll::kIndexFormatV2);
+  pll::WriteIndexFile(index, path);
 
   const pll::Index loaded = pll::Index::LoadFile(path);
   EXPECT_EQ(loaded.Store(), index.Store());
@@ -90,23 +90,13 @@ TEST(FormatV2Test, FileRoundTripPreservesStoreOrderAndManifest) {
   pll::BuildManifest want = index.Manifest();
   want.format_version = pll::kIndexFormatV2;
   EXPECT_EQ(loaded.Manifest(), want);
-
-  // Republishing the v2-loaded index as a v1 container restamps the
-  // embedded manifest — format_version names the container, not the
-  // file the index came from.
-  const std::string v1_path = TempPath("roundtrip_v1");
-  pll::WriteIndexFile(loaded, v1_path, pll::kIndexFormatV1);
-  const pll::Index republished = pll::Index::LoadFile(v1_path);
-  EXPECT_EQ(republished.Manifest().format_version, pll::kIndexFormatV1);
-  EXPECT_EQ(republished.Store(), index.Store());
-  std::remove(v1_path.c_str());
   std::remove(path.c_str());
 }
 
 TEST(FormatV2Test, EmptyIndexRoundTrips) {
   const pll::Index empty(pll::LabelStore::FromRows({}), {});
   const std::string path = TempPath("empty");
-  pll::WriteIndexFile(empty, path, pll::kIndexFormatV2);
+  pll::WriteIndexFile(empty, path);
   EXPECT_EQ(pll::Index::LoadFile(path).NumVertices(), 0u);
 #if PARAPLL_HAVE_MMAP
   EXPECT_EQ(
@@ -135,7 +125,7 @@ TEST(LabelSourceTest, AllBackendsAnswerIdenticallyAcrossGraphFamilies) {
     SCOPED_TRACE(family.name);
     const pll::Index index = BuildIndex(family.g);
     const std::string path = TempPath(family.name);
-    pll::WriteIndexFile(index, path, pll::kIndexFormatV2);
+    pll::WriteIndexFile(index, path);
 
     const auto pairs = RandomPairs(family.g.NumVertices(), 600, 31);
     std::vector<graph::Distance> expected(pairs.size());
@@ -178,7 +168,7 @@ TEST(MmapLoadTest, ExposesManifestAndOrderFromTheMapping) {
   const Graph g = graph::ErdosRenyi(70, 210, kUniform, 41);
   const build::BuildOutcome built = build::Run(g, {});
   const std::string path = TempPath("view");
-  pll::WriteIndexFile(built.artifact.index, path, pll::kIndexFormatV2);
+  pll::WriteIndexFile(built.artifact.index, path);
 
   const pll::ServableIndex mapped =
       pll::ServableIndex::Load(path, pll::StoreBackend::kMmap);
@@ -228,7 +218,7 @@ TEST(LabelSourceTest, MmapOpenIsFarCheaperThanHeapDeserialize) {
   const pll::Index index(pll::LabelStore::FromRows(std::move(rows)),
                          std::move(order));
   const std::string path = TempPath("timing");
-  pll::WriteIndexFile(index, path, pll::kIndexFormatV2);
+  pll::WriteIndexFile(index, path);
 
   auto min_of_3 = [](auto&& body) {
     double best = 1e9;

@@ -2,29 +2,29 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 namespace parapll::pll {
 namespace {
 
-TEST(QueryRowsTest, CommonHubMinimum) {
-  const std::vector<LabelEntry> a = {{0, 5}, {2, 1}, {4, 9}};
-  const std::vector<LabelEntry> b = {{1, 2}, {2, 2}, {4, 1}};
+// QUERY(s, t) over rows 0 and 1 of a store holding exactly `a` and `b`.
+graph::Distance QueryTwoRows(std::vector<LabelEntry> a,
+                             std::vector<LabelEntry> b) {
+  std::vector<std::vector<LabelEntry>> rows = {std::move(a), std::move(b)};
+  return LabelStore::FromRows(std::move(rows)).Query(0, 1);
+}
+
+TEST(LabelStoreQueryTest, CommonHubMinimum) {
   // hub 2: 1+2 = 3; hub 4: 9+1 = 10.
-  EXPECT_EQ(QueryRows(a, b), 3u);
+  EXPECT_EQ(QueryTwoRows({{0, 5}, {2, 1}, {4, 9}}, {{1, 2}, {2, 2}, {4, 1}}),
+            3u);
 }
 
-TEST(QueryRowsTest, NoCommonHubIsInfinite) {
-  const std::vector<LabelEntry> a = {{0, 5}};
-  const std::vector<LabelEntry> b = {{1, 2}};
-  EXPECT_EQ(QueryRows(a, b), graph::kInfiniteDistance);
+TEST(LabelStoreQueryTest, NoCommonHubIsInfinite) {
+  EXPECT_EQ(QueryTwoRows({{0, 5}}, {{1, 2}}), graph::kInfiniteDistance);
 }
 
-TEST(QueryRowsTest, EmptyRows) {
-  const std::vector<LabelEntry> a;
-  const std::vector<LabelEntry> b = {{1, 2}};
-  EXPECT_EQ(QueryRows(a, b), graph::kInfiniteDistance);
-  EXPECT_EQ(QueryRows(a, a), graph::kInfiniteDistance);
+TEST(LabelStoreQueryTest, EmptyRows) {
+  EXPECT_EQ(QueryTwoRows({}, {{1, 2}}), graph::kInfiniteDistance);
+  EXPECT_EQ(QueryTwoRows({}, {}), graph::kInfiniteDistance);
 }
 
 TEST(MutableLabelsTest, AppendAndIterate) {
@@ -143,24 +143,6 @@ TEST(LabelStoreTest, FromFlatRejectsBrokenInvariants) {
   EXPECT_THROW(
       LabelStore::FromFlat({0, 3}, {{2, 1}, sentinel, sentinel}),
       std::runtime_error);
-}
-
-TEST(LabelStoreTest, SerializeRoundTrip) {
-  std::vector<std::vector<LabelEntry>> rows(3);
-  rows[0] = {{0, 0}};
-  rows[1] = {{0, 5}, {1, 0}};
-  rows[2] = {{2, 0}};
-  const LabelStore store = LabelStore::FromRows(std::move(rows));
-  std::stringstream buffer;
-  store.Serialize(buffer);
-  const LabelStore loaded = LabelStore::Deserialize(buffer);
-  EXPECT_EQ(store, loaded);
-}
-
-TEST(LabelStoreTest, DeserializeRejectsGarbage) {
-  std::stringstream buffer;
-  buffer << "garbage bytes here and more of them";
-  EXPECT_THROW(LabelStore::Deserialize(buffer), std::runtime_error);
 }
 
 TEST(LabelStoreTest, EmptyStore) {

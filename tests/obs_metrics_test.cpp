@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
@@ -83,6 +84,51 @@ TEST(HistogramTest, CountSumMinMaxExactAcrossThreads) {
     bucket_total += b;
   }
   EXPECT_EQ(bucket_total, n);
+}
+
+// The exemplar seqlock never hands a reader a torn (value, request_id)
+// pair: writers keep overwriting every bucket's slot with pairs whose
+// request_id is a function of the value, and every exemplar a concurrent
+// Snapshot() returns must satisfy that function.
+TEST(HistogramTest, ConcurrentExemplarsAreNeverTorn) {
+  Histogram histogram;
+  const auto request_id_of = [](std::uint64_t value) {
+    return value * 0x9e3779b97f4a7c15ULL + 1;
+  };
+  constexpr int kWriters = 3;
+  constexpr std::uint64_t kPerWriter = 100000;
+  std::atomic<int> running{kWriters};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (std::uint64_t i = 0; i < kPerWriter; ++i) {
+        // Cycles through buckets 1..63; writers differ in the low bits,
+        // so a pair mixed from two writers breaks the function.
+        const std::uint64_t value = (std::uint64_t{1} << (i % 63)) + w;
+        histogram.RecordWithExemplar(value, request_id_of(value));
+      }
+      // release: the reader's acquire load sees every exemplar stored.
+      running.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  std::size_t seen = 0;
+  std::size_t torn = 0;
+  for (bool last = false; !last;) {
+    // acquire: pairs with the writers' release decrement.
+    last = running.load(std::memory_order_acquire) == 0;
+    const HistogramSnapshot snap = histogram.Snapshot();
+    for (const HistogramExemplar& exemplar : snap.exemplars) {
+      if (exemplar.valid) {
+        ++seen;
+        torn += exemplar.request_id != request_id_of(exemplar.value);
+      }
+    }
+  }
+  for (auto& writer : writers) {
+    writer.join();
+  }
+  EXPECT_GT(seen, 0u);
+  EXPECT_EQ(torn, 0u);
 }
 
 TEST(HistogramTest, QuantilesAreOrderedAndBounded) {

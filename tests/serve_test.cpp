@@ -1074,32 +1074,6 @@ TEST(QueryServerTest, HotSwapUnderTrafficOnMmapBackend) {
   std::remove(path.c_str());
 }
 
-// A v1 republish under a zero-copy watcher falls back to the heap loader
-// (with a warning) instead of erroring the reload away.
-TEST(QueryServerTest, ZeroCopyBackendFallsBackToHeapOnV1File) {
-  const Graph g = graph::ErdosRenyi(50, 150, {WeightModel::kUniform, 9}, 88);
-  const build::BuildOutcome built = build::Run(g, {});
-  const std::string path = BackendTempPath("fallback");
-  built.artifact.Save(path);  // v1 container
-
-  pll::ServableIndex servable =
-      pll::ServableIndex::Load(path, pll::StoreBackend::kMmap);
-  EXPECT_EQ(servable.backend, pll::StoreBackend::kHeap);
-  EXPECT_EQ(servable.format_version, pll::kIndexFormatV1);
-
-  QueryServer server(std::move(servable), {});
-  server.Start();
-  ServeClient client;
-  client.Connect(server.Port());
-  const auto pairs = RandomPairs(g.NumVertices(), 16, 5);
-  const Response response = client.Distance(pairs);
-  ASSERT_EQ(response.status, ResponseStatus::kOk);
-  EXPECT_EQ(response.distances,
-            query::QueryEngine(built.artifact.index).QueryBatch(pairs));
-  server.Stop();
-  std::remove(path.c_str());
-}
-
 #endif  // PARAPLL_HAVE_MMAP
 
 #endif  // PARAPLL_HAVE_SOCKETS

@@ -1,6 +1,6 @@
 #!/bin/sh
-# End-to-end smoke test for parapll_cli: generate -> build (both index
-# formats) -> stats -> query -> verify. Run by ctest with the binary path
+# End-to-end smoke test for parapll_cli: generate -> build (parallel and
+# cluster) -> stats -> query -> verify. Run by ctest with the binary path
 # as $1; uses a private temp directory and fails on any nonzero step.
 set -eu
 
@@ -13,18 +13,36 @@ trap 'rm -rf "$WORK"' EXIT
 "$CLI" build --graph "$WORK/g.txt" --mode parallel --threads 4 \
   --out "$WORK/g.index"
 "$CLI" build --graph "$WORK/g.txt" --mode cluster --nodes 3 --sync 8 \
-  --out "$WORK/g.zindex" --compact
+  --out "$WORK/cluster.index"
+
+# Every mode writes the one index container, index format v2.
+[ "$(head -c 8 "$WORK/g.index")" = PLLIdxV2 ]
+[ "$(head -c 8 "$WORK/cluster.index")" = PLLIdxV2 ]
 
 "$CLI" stats --index "$WORK/g.index"
-"$CLI" stats --index "$WORK/g.zindex" --compact
+"$CLI" stats --index "$WORK/cluster.index" | grep -q '"mode":"cluster"'
 
 "$CLI" query --index "$WORK/g.index" --s 0 --t 5 | grep -q '^d(0, 5) = '
-printf '1 2\n3 4\n' | "$CLI" query --index "$WORK/g.zindex" --compact \
+printf '1 2\n3 4\n' | "$CLI" query --index "$WORK/cluster.index" \
   | grep -c '^d(' | grep -qx 2
 
 "$CLI" verify --index "$WORK/g.index" --graph "$WORK/g.txt" --pairs 400
-"$CLI" verify --index "$WORK/g.zindex" --compact --graph "$WORK/g.txt" \
+"$CLI" verify --index "$WORK/cluster.index" --graph "$WORK/g.txt" \
   --pairs 400
+
+# The container flags of earlier releases are gone: each is refused as
+# an unknown flag before anything is built or written.
+if "$CLI" build --graph "$WORK/g.txt" --compact --out "$WORK/old.index" \
+  2> "$WORK/flag.log"; then
+  exit 1
+fi
+grep -q 'unknown flag --compact' "$WORK/flag.log"
+if "$CLI" build --graph "$WORK/g.txt" --index-format 2 \
+  --out "$WORK/old.index" 2> "$WORK/flag.log"; then
+  exit 1
+fi
+grep -q 'unknown flag --index-format' "$WORK/flag.log"
+[ ! -e "$WORK/old.index" ]
 
 # Vertex order: the default is BuildPlan's (path-degree), --ordering
 # degree pins the paper's sequence; the manifest names the order used and
@@ -43,28 +61,24 @@ grep -q 'unknown --ordering centrality' "$WORK/ordering.log"
 
 # Index files are replaced, never rewritten in place, so a process that
 # has the old file mapped (serve --mmap) keeps reading consistent bytes:
-# building or converting over an existing file gives it a new inode and
-# leaves no temp file behind.
+# building over an existing file gives it a new inode and leaves no temp
+# file behind.
 inode() { ls -i "$1" | awk '{print $1}'; }
 old="$(inode "$WORK/g.index")"
 "$CLI" build --graph "$WORK/g.txt" --mode parallel --threads 4 \
   --out "$WORK/g.index"
 [ "$(inode "$WORK/g.index")" != "$old" ]
-"$CLI" convert --index "$WORK/g.index" --out "$WORK/g.v2" --index-format 2
-old="$(inode "$WORK/g.v2")"
-"$CLI" convert --index "$WORK/g.index" --out "$WORK/g.v2" --index-format 2
-[ "$(inode "$WORK/g.v2")" != "$old" ]
-"$CLI" verify --index "$WORK/g.v2" --graph "$WORK/g.txt" --pairs 100
+"$CLI" verify --index "$WORK/g.index" --graph "$WORK/g.txt" --pairs 100
 [ -z "$(find "$WORK" -name '*.tmp')" ]
 # query-bench reads the index once: under --backend mmap both passes
 # answer from the mapping, with no heap load beside it.
-"$CLI" query-bench --index "$WORK/g.v2" --pairs 200 --backend mmap \
+"$CLI" query-bench --index "$WORK/g.index" --pairs 200 --backend mmap \
   2> "$WORK/qb.log"
 [ "$(grep -c 'index load:' "$WORK/qb.log")" -eq 1 ]
 grep -q 'mode=mmap' "$WORK/qb.log"
 # A pair naming no vertex of the index is refused with an error.
 printf '0 1\n1 99999999\n' > "$WORK/bad.pairs"
-if "$CLI" query-bench --index "$WORK/g.v2" --pair-file "$WORK/bad.pairs" \
+if "$CLI" query-bench --index "$WORK/g.index" --pair-file "$WORK/bad.pairs" \
   --backend mmap 2> "$WORK/bad.log"; then
   exit 1
 fi

@@ -2,7 +2,7 @@
 //
 //   parapll_cli generate --dataset Epinions --scale 0.05 --out g.txt
 //   parapll_cli build    --graph g.txt --mode parallel --threads 8
-//                        --out g.index [--compact]
+//                        --out g.index
 //   parapll_cli query    --index g.index -s 3 -t 99
 //   parapll_cli query    --index g.index            # pairs from stdin
 //   parapll_cli stats    --index g.index
@@ -58,27 +58,24 @@ void PublishHealthInfo(const pll::Index& index) {
 
 int Usage() {
   std::fputs(
-      "usage: parapll_cli <generate|build|query|stats|verify|convert|"
+      "usage: parapll_cli <generate|build|query|stats|verify|"
       "query-bench|serve|serve-bench> [flags]\n"
       "  generate --dataset NAME --scale S --seed K --out FILE\n"
       "  build    --graph FILE --mode serial|parallel|simulated|cluster\n"
       "           --threads P --nodes Q --sync C --policy static|dynamic\n"
       "           --ordering degree|random|path-degree (default\n"
       "           path-degree: sampled path centrality x degree)\n"
-      "           --out FILE [--compact] [--index-format 1|2]\n"
-      "           (format 2 is the 16-byte-aligned mmap-able container\n"
-      "           that serve --mmap maps zero-copy)\n"
+      "           --out FILE  (index format v2, the 16-byte-aligned\n"
+      "           container that serve --mmap maps zero-copy)\n"
       "           [--checkpoint-dir D [--checkpoint-every K]] write a\n"
       "           resumable snapshot to D/checkpoint.bin every K roots\n"
       "           (and on SIGINT/SIGTERM); serial/parallel modes only\n"
       "           [--resume D] continue the build checkpointed in D\n"
       "           [--halt-after N] stop after N roots (testing hook)\n"
-      "  query    --index FILE [--compact] [-s S -t T]  (else stdin pairs)\n"
-      "  stats    --index FILE [--compact]\n"
-      "  verify   --index FILE [--compact] --graph FILE --pairs N\n"
-      "  convert  --index FILE [--compact] --out FILE --index-format 1|2\n"
-      "           rewrite an index into another container format\n"
-      "  query-bench --index FILE [--compact] --pairs N [--pair-file F]\n"
+      "  query    --index FILE [-s S -t T]  (else stdin pairs)\n"
+      "  stats    --index FILE\n"
+      "  verify   --index FILE --graph FILE --pairs N\n"
+      "  query-bench --index FILE --pairs N [--pair-file F]\n"
       "           --threads P --batch B   (batched vs per-call throughput)\n"
       "           [--backend heap|mmap] where both passes read label\n"
       "           rows from (the file is read once); batched distances\n"
@@ -88,8 +85,7 @@ int Usage() {
       "           [--port-file F]   TCP daemon answering DISTANCE_QUERY\n"
       "           frames (see EXPERIMENTS.md); --watch hot-swaps the\n"
       "           engine when the index file is republished\n"
-      "           [--mmap] zero-copy map a format-v2 index; v1 files\n"
-      "           fall back to the heap loader with a warning\n"
+      "           [--mmap] zero-copy map the index file\n"
       "           [--request-log FILE [--request-log-sample N]] wide-event\n"
       "           JSONL, one record per request (tail-sampled); also at\n"
       "           /debug/requests with --stats-port\n"
@@ -121,17 +117,8 @@ int Usage() {
   return 1;
 }
 
-pll::Index LoadIndex(const std::string& path, bool compact) {
-  pll::Index index = [&] {
-    if (!compact) {
-      return pll::Index::LoadFile(path);
-    }
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      throw std::runtime_error("cannot open " + path);
-    }
-    return pll::ReadCompactIndex(in);
-  }();
+pll::Index LoadIndex(const std::string& path) {
+  pll::Index index = pll::Index::LoadFile(path);
   PublishHealthInfo(index);
   return index;
 }
@@ -147,28 +134,7 @@ int CmdGenerate(util::ArgParser& args) {
   return 0;
 }
 
-// --index-format as a container version; 0 (after a message) when the
-// flag names none.
-std::uint32_t IndexFormatFlag(const util::ArgParser& args) {
-  const auto format = static_cast<std::uint32_t>(
-      std::max<std::int64_t>(args.GetInt("index-format"), 1));
-  if (format != pll::kIndexFormatV1 && format != pll::kIndexFormatV2) {
-    std::fprintf(stderr, "unknown --index-format %u\n", format);
-    return 0;
-  }
-  return format;
-}
-
 int CmdBuild(util::ArgParser& args) {
-  const std::uint32_t format = IndexFormatFlag(args);
-  if (format == 0) {
-    return 1;
-  }
-  const bool compact = args.GetBool("compact");
-  if (compact && format != pll::kIndexFormatV1) {
-    std::fprintf(stderr, "--compact only supports --index-format 1\n");
-    return 1;
-  }
   const std::string mode_name = args.GetString("mode");
   const std::string ordering_name = args.GetString("ordering");
   const std::optional<pll::OrderingPolicy> ordering =
@@ -223,7 +189,7 @@ int CmdBuild(util::ArgParser& args) {
     }
   }
   const std::string out = args.GetString("out");
-  pll::WriteIndexFile(index, out, format, compact);
+  pll::WriteIndexFile(index, out);
   if (outcome.complete) {
     std::printf("indexed n=%u in %s: LN=%.1f, %zu entries -> %s\n",
                 g.NumVertices(),
@@ -241,8 +207,7 @@ int CmdBuild(util::ArgParser& args) {
 }
 
 int CmdQuery(util::ArgParser& args) {
-  const pll::Index index =
-      LoadIndex(args.GetString("index"), args.GetBool("compact"));
+  const pll::Index index = LoadIndex(args.GetString("index"));
   auto answer = [&index](graph::VertexId s, graph::VertexId t) {
     if (s >= index.NumVertices() || t >= index.NumVertices()) {
       std::printf("d(%u, %u) = out-of-range\n", s, t);
@@ -270,16 +235,12 @@ int CmdQuery(util::ArgParser& args) {
 }
 
 int CmdStats(util::ArgParser& args) {
-  const pll::Index index =
-      LoadIndex(args.GetString("index"), args.GetBool("compact"));
+  const pll::Index index = LoadIndex(args.GetString("index"));
   std::printf("vertices:        %u\n", index.NumVertices());
   std::printf("label entries:   %zu\n", index.TotalEntries());
   std::printf("avg label size:  %.2f\n", index.AvgLabelSize());
   std::printf("memory:          %.2f MB\n",
               static_cast<double>(index.MemoryBytes()) / (1024.0 * 1024.0));
-  std::printf("compact size:    %.2f MB\n",
-              static_cast<double>(pll::CompactSizeBytes(index.Store())) /
-                  (1024.0 * 1024.0));
   if (!(index.Manifest() == pll::BuildManifest{})) {
     std::printf("manifest:        %s\n", index.Manifest().ToJson().c_str());
   }
@@ -287,8 +248,7 @@ int CmdStats(util::ArgParser& args) {
 }
 
 int CmdVerify(util::ArgParser& args) {
-  const pll::Index index =
-      LoadIndex(args.GetString("index"), args.GetBool("compact"));
+  const pll::Index index = LoadIndex(args.GetString("index"));
   const graph::Graph g = graph::ReadEdgeListTextFile(args.GetString("graph"));
   if (g.NumVertices() != index.NumVertices()) {
     std::fprintf(stderr, "graph (n=%u) does not match index (n=%u)\n",
@@ -302,29 +262,6 @@ int CmdVerify(util::ArgParser& args) {
   return verdict.Ok() ? 0 : 1;
 }
 
-// Rewrites an index into another container format — chiefly v1 -> v2 so
-// an existing artifact can be served with --mmap without a rebuild.
-// Loading funnels through Index::LoadFile, so either input format (or
-// --compact) converts to either output format.
-int CmdConvert(util::ArgParser& args) {
-  const std::string out = args.GetString("out");
-  if (args.GetString("index").empty() || out.empty()) {
-    std::fprintf(stderr, "convert: --index and --out are required\n");
-    return 1;
-  }
-  const std::uint32_t format = IndexFormatFlag(args);
-  if (format == 0) {
-    return 1;
-  }
-  const pll::Index index =
-      LoadIndex(args.GetString("index"), args.GetBool("compact"));
-  pll::WriteIndexFile(index, out, format);
-  std::printf("converted %s (n=%u, %zu entries) -> %s (format v%u)\n",
-              args.GetString("index").c_str(), index.NumVertices(),
-              index.TotalEntries(), out.c_str(), format);
-  return 0;
-}
-
 // Serving-style benchmark against a saved index: answers the same pairs
 // per-call and through QueryEngine::QueryBatch, verifies the distances
 // are identical, and prints both throughputs. The batched figure times
@@ -334,15 +271,9 @@ int CmdConvert(util::ArgParser& args) {
 int CmdQueryBench(util::ArgParser& args) {
   const pll::StoreBackend backend =
       pll::StoreBackendFromString(args.GetString("backend"));
-  if (backend != pll::StoreBackend::kHeap && args.GetBool("compact")) {
-    std::fprintf(stderr, "--backend %s needs a non-compact index file\n",
-                 ToString(backend));
-    return 1;
-  }
   const pll::ServableIndex servable =
       backend == pll::StoreBackend::kHeap
-          ? pll::ServableIndex::FromIndex(
-                LoadIndex(args.GetString("index"), args.GetBool("compact")))
+          ? pll::ServableIndex::FromIndex(LoadIndex(args.GetString("index")))
           : pll::ServableIndex::Load(args.GetString("index"), backend);
   PublishHealthInfo(servable.manifest, servable.NumVertices());
   const graph::VertexId n = servable.NumVertices();
@@ -473,8 +404,8 @@ int CmdQueryBench(util::ArgParser& args) {
 
 // Runs the query daemon until SIGINT/SIGTERM (the signal-flush hook in
 // main writes any requested metrics/telemetry and exits the process).
-// `serve` requires a manifest-bearing artifact (the default index
-// format): hot reload keys off BuildManifest identity, and operators
+// `serve` requires a manifest-bearing artifact (every file `build`
+// writes): hot reload keys off BuildManifest identity, and operators
 // deserve to know *what* a long-lived process serves.
 int CmdServe(util::ArgParser& args) {
   const std::string path = args.GetString("index");
@@ -638,9 +569,6 @@ int main(int argc, char** argv) {
             "snapshot every K finished roots (build; 0 = signal-only)")
       .Flag("resume", "", "continue from checkpoint directory (build)")
       .Flag("halt-after", "0", "stop after N roots, 0 = run all (build)")
-      .Flag("compact", "false", "use varint index format")
-      .Flag("index-format", "1",
-            "build/convert: container format (1 = streamed, 2 = mmap-able)")
       .Flag("backend", "heap",
             "query-bench: label source backend (heap|mmap)")
       .Flag("mmap", "false", "serve: zero-copy mmap the index (format v2)")
@@ -810,8 +738,6 @@ int main(int argc, char** argv) {
       code = CmdStats(args);
     } else if (command == "verify") {
       code = CmdVerify(args);
-    } else if (command == "convert") {
-      code = CmdConvert(args);
     } else if (command == "query-bench") {
       code = CmdQueryBench(args);
     } else if (command == "serve") {

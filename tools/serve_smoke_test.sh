@@ -191,13 +191,12 @@ grep -q '"server.accepted":' "$WORK/serve_metrics.json"
 grep -q '"server.hot_swaps":1' "$WORK/serve_metrics.json"
 grep -q '"server.request_latency_ns":' "$WORK/serve_metrics.json"
 
-# --- zero-copy serving: --mmap over a format-v2 artifact ------------------
-# Build the mmap-able container, serve it with --mmap, assert the
-# cold-start record (one log line carrying path, format version, bytes,
-# and mode), check the storage gauges on /metrics, then hot-swap a v2
-# republish under the watcher.
+# --- zero-copy serving: --mmap over the built index -----------------------
+# Serve a built index with --mmap, assert the cold-start record (one log
+# line carrying path, format version, bytes, and mode), check the storage
+# gauges on /metrics, then hot-swap a republish under the watcher.
 "$CLI" build --graph "$WORK/g.txt" --mode parallel --threads 2 --seed 7 \
-  --out "$WORK/g2.index" --index-format 2
+  --out "$WORK/g2.index"
 "$CLI" serve --index "$WORK/g2.index" --mmap --watch --watch-poll-ms 50 \
   --port-file "$WORK/mmap_port" --metrics-json "$WORK/mmap_metrics.json" \
   --stats-port 0 2> "$WORK/mmap_daemon.log" &
@@ -228,10 +227,10 @@ for name in parapll_store_memory_bytes parapll_index_load_seconds; do
     echo "storage gauge $name missing from the mmap /metrics" >&2; exit 1; }
 done
 
-# Hot swap stays zero-copy: republish a different v2 build and watch the
+# Hot swap stays zero-copy: republish a different build and watch the
 # mapped engine flip without an error.
 "$CLI" build --graph "$WORK/g.txt" --mode parallel --threads 2 --seed 8 \
-  --out "$WORK/g2.index" --index-format 2
+  --out "$WORK/g2.index"
 i=0
 until "$CLI" serve-bench --port "$MMAP_PORT" --connections 1 --requests 1 \
   --pairs-per-request 1 | grep -q ' 1 hot swaps'; do
@@ -247,5 +246,11 @@ DAEMON_PID=""
   echo "unexpected mmap daemon exit status $STATUS" >&2; exit 1; }
 grep -q '"index.load_seconds":' "$WORK/mmap_metrics.json"
 grep -q '"store.memory_bytes":' "$WORK/mmap_metrics.json"
+# Both loads, the first and the hot swap, mapped the file: no heap
+# fallback and no heap load.
+if grep -q 'falling back to heap\|mode=heap' "$WORK/mmap_daemon.log"; then
+  echo "the mmap daemon loaded an index onto the heap" >&2; exit 1
+fi
+[ "$(grep -c 'index load: .* mode=mmap' "$WORK/mmap_daemon.log")" -ge 2 ]
 
 echo "serve smoke test: OK"
