@@ -1,6 +1,5 @@
-// Fuzz target: the text edge-list parser (both id modes) and the binary
-// graph reader, under a small vertex budget so hostile counts are
-// rejected instead of allocated.
+// Fuzz target: the text edge-list parser (both id modes), under a small
+// vertex budget so hostile counts are rejected instead of allocated.
 //
 // Accepted graphs must survive a write/re-read cycle with vertex and
 // edge counts intact (WriteEdgeListText records n in its header line).
@@ -39,20 +38,11 @@ void DriveText(const std::uint8_t* data, std::size_t size, bool compact) {
   }
 }
 
-void DriveBinary(const std::uint8_t* data, std::size_t size) {
-  try {
-    auto in = AsStream(data, size);
-    (void)parapll::graph::ReadBinary(in, kBudget);
-  } catch (const std::runtime_error&) {
-  }
-}
-
 }  // namespace
 
 extern "C" int PARAPLL_FUZZ_ENTRY(const std::uint8_t* data,
                                   std::size_t size) {
   DriveText(data, size, /*compact=*/false);
   DriveText(data, size, /*compact=*/true);
-  DriveBinary(data, size);
   return 0;
 }

@@ -16,32 +16,22 @@ using MinHeap =
 }  // namespace
 
 std::vector<Distance> DijkstraAll(const Graph& g, VertexId source) {
-  DijkstraStats stats;
-  return DijkstraAllWithStats(g, source, stats);
-}
-
-std::vector<Distance> DijkstraAllWithStats(const Graph& g, VertexId source,
-                                           DijkstraStats& stats) {
   PARAPLL_CHECK(source < g.NumVertices());
   std::vector<Distance> dist(g.NumVertices(), graph::kInfiniteDistance);
   dist[source] = 0;
   MinHeap heap;
   heap.emplace(0, source);
-  ++stats.pushes;
   while (!heap.empty()) {
     const auto [d, u] = heap.top();
     heap.pop();
     if (d > dist[u]) {
       continue;  // stale entry
     }
-    ++stats.settled;
     for (const graph::Arc& arc : g.Neighbors(u)) {
-      ++stats.relaxations;
       const Distance nd = d + arc.weight;
       if (nd < dist[arc.target]) {
         dist[arc.target] = nd;
         heap.emplace(nd, arc.target);
-        ++stats.pushes;
       }
     }
   }

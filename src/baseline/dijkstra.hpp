@@ -19,14 +19,4 @@ std::vector<Distance> DijkstraAll(const Graph& g, VertexId source);
 // Point-to-point distance with early termination once `target` settles.
 Distance DijkstraOne(const Graph& g, VertexId source, VertexId target);
 
-// Operation counters for cost-model calibration and benchmarking.
-struct DijkstraStats {
-  std::size_t settled = 0;      // vertices popped and finalized
-  std::size_t relaxations = 0;  // edges examined
-  std::size_t pushes = 0;       // heap inserts
-};
-
-std::vector<Distance> DijkstraAllWithStats(const Graph& g, VertexId source,
-                                           DijkstraStats& stats);
-
 }  // namespace parapll::baseline

@@ -47,6 +47,13 @@ Checkpointer::Checkpointer(CheckpointOptions options,
 }
 
 Checkpointer::~Checkpointer() {
+  {
+    // A build that throws never reaches Finish: release a signal path
+    // that waits for it (it holds g_active_mutex until it returns).
+    util::MutexLock lock(mutex_);
+    drain_ = Drain::kFinished;
+    changed_.NotifyAll();
+  }
   util::MutexLock lock(g_active_mutex);
   std::erase(g_active, this);
 }
@@ -68,28 +75,82 @@ graph::VertexId Checkpointer::LastFrontier() const {
 void Checkpointer::OnRootFinished(graph::VertexId frontier,
                                   const pll::PruneStats& stats,
                                   double wall_seconds) {
-  util::MutexLock lock(mutex_);
-  // Workers compute their frontier under the scheduler's lock but report
-  // it after releasing that lock, so an older, smaller frontier can
-  // arrive after a newer one. Frontiers only grow; never move back.
-  frontier_ = std::max(frontier_, frontier);
-  totals_ += stats;
-  wall_seconds_ = wall_seconds;
-  ++finished_since_snapshot_;
-  if (options_.every > 0 && finished_since_snapshot_ >= options_.every) {
-    SnapshotLocked();
-    finished_since_snapshot_ = 0;
+  pll::BuildManifest due;
+  {
+    util::MutexLock lock(mutex_);
+    // Workers compute their frontier under the scheduler's lock but
+    // report it after releasing that lock, so an older, smaller frontier
+    // can arrive after a newer one. Frontiers only grow; never move back.
+    frontier_ = std::max(frontier_, frontier);
+    totals_ += stats;
+    wall_seconds_ = wall_seconds;
+    ++finished_since_snapshot_;
+    if (options_.every == 0 || finished_since_snapshot_ < options_.every ||
+        writing_) {
+      return;
+    }
+    due = BeginWriteLocked();
   }
+  Write(std::move(due));
 }
 
 void Checkpointer::Snapshot() {
-  util::MutexLock lock(mutex_);
-  SnapshotLocked();
-  finished_since_snapshot_ = 0;
+  pll::BuildManifest due;
+  {
+    util::MutexLock lock(mutex_);
+    while (writing_) {
+      changed_.Wait(mutex_);
+    }
+    due = BeginWriteLocked();
+  }
+  Write(std::move(due));
 }
 
-void Checkpointer::SnapshotLocked() {
-  util::WallTimer write_timer;
+void Checkpointer::BeginDrain() {
+  util::MutexLock lock(mutex_);
+  while (writing_) {
+    changed_.Wait(mutex_);  // a signal-path write still reads the rows
+  }
+  drain_ = Drain::kRunning;
+}
+
+bool Checkpointer::HaltRequested() const { return halt_.load(); }
+
+void Checkpointer::Finish(bool complete) {
+  if (!complete || HaltRequested()) {
+    Snapshot();  // final flush at the halt frontier
+  }
+  util::MutexLock lock(mutex_);
+  drain_ = Drain::kFinished;
+  changed_.NotifyAll();
+}
+
+void Checkpointer::SnapshotOrHalt() {
+  pll::BuildManifest due;
+  {
+    util::MutexLock lock(mutex_);
+    while (drain_ == Drain::kNone && writing_) {
+      changed_.Wait(mutex_);
+    }
+    if (drain_ == Drain::kRunning) {
+      halt_.store(true);
+      while (drain_ == Drain::kRunning) {
+        changed_.Wait(mutex_);
+      }
+    }
+    if (drain_ == Drain::kFinished) {
+      return;  // the driver wrote its final snapshot; rows may be moved out
+    }
+    // No root loop appends to the rows, and BeginDrain waits for this
+    // write to end.
+    due = BeginWriteLocked();
+  }
+  Write(std::move(due));
+}
+
+pll::BuildManifest Checkpointer::BeginWriteLocked() {
+  writing_ = true;
+  finished_since_snapshot_ = 0;
   pll::BuildManifest manifest = manifest_;
   manifest.roots_completed = frontier_;
   manifest.totals = seed_totals_;
@@ -97,30 +158,47 @@ void Checkpointer::SnapshotLocked() {
   manifest.wall_seconds = seed_wall_seconds_ + wall_seconds_;
   manifest.created_unix =
       static_cast<std::uint64_t>(std::time(nullptr));
+  return manifest;
+}
 
-  pll::Index index(pll::LabelStore::FromRows(rows_(frontier_)), order_);
-  index.SetManifest(std::move(manifest));
-  IndexArtifact{std::move(index)}.Save(FilePath());
-  ++snapshots_;
-
+void Checkpointer::Write(pll::BuildManifest manifest) {
+  const util::WallTimer write_timer;
+  const auto frontier =
+      static_cast<graph::VertexId>(manifest.roots_completed);
+  // Releases the writer slot however the write ends.
+  auto end_write = [this](std::size_t written) {
+    util::MutexLock lock(mutex_);
+    writing_ = false;
+    snapshots_ += written;
+    changed_.NotifyAll();
+  };
+  try {
+    // Entries with hubs below the frontier are final, so reading them
+    // while workers append entries of later hubs is safe.
+    pll::Index index(pll::LabelStore::FromRows(rows_(frontier)), order_);
+    index.SetManifest(std::move(manifest));
+    IndexArtifact{std::move(index)}.Save(FilePath());
+  } catch (...) {
+    end_write(0);
+    throw;
+  }
+  end_write(1);
   if (obs::MetricsEnabled()) {
     auto& registry = obs::Registry::Global();
     registry.GetCounter("build.checkpoint.snapshots").Add(1);
     registry.GetGauge("build.checkpoint.last_roots")
-        .Set(static_cast<double>(frontier_));
+        .Set(static_cast<double>(frontier));
     registry.GetHistogram("build.checkpoint.write_ns")
         .Record(static_cast<std::uint64_t>(write_timer.Seconds() * 1e9));
   }
 }
 
 void SnapshotActiveBuilds() {
-  std::vector<Checkpointer*> active;
-  {
-    util::MutexLock lock(g_active_mutex);
-    active = g_active;
-  }
-  for (Checkpointer* checkpointer : active) {
-    checkpointer->Snapshot();
+  // Held throughout: a Checkpointer unregisters in its destructor, so
+  // none can be destroyed while this call uses it.
+  util::MutexLock lock(g_active_mutex);
+  for (Checkpointer* checkpointer : g_active) {
+    checkpointer->SnapshotOrHalt();
   }
 }
 

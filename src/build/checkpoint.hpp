@@ -14,11 +14,14 @@
 // FromRows dedups. Query answers equal an uninterrupted build's.
 //
 // Snapshots are written atomically (IndexArtifact::Save) so dying mid-
-// write leaves the previous checkpoint usable. The process-wide registry
-// at the bottom lets a SIGINT/SIGTERM flush hook (obs::ScopedSignalFlush)
-// snapshot whatever build is active before the process exits.
+// write leaves the previous checkpoint usable, one writer at a time and
+// outside the lock workers report to, so a write stalls only the worker
+// that makes it. The process-wide registry at the bottom lets a
+// SIGINT/SIGTERM flush hook (obs::ScopedSignalFlush) leave a snapshot of
+// whatever build is active before the process exits.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <string>
@@ -60,20 +63,41 @@ class Checkpointer {
 
   // Driver callback after each finished root: folds the root's stats into
   // the running totals, remembers the new frontier, and snapshots when
-  // `every` more roots have finished since the last write. Thread-safe.
+  // `every` more roots have finished since the last write. The write runs
+  // on the calling thread after the lock is released; while another
+  // write is in flight the due snapshot waits for a later root.
+  // Thread-safe.
   void OnRootFinished(graph::VertexId frontier, const pll::PruneStats& stats,
                       double wall_seconds);
 
-  // Writes a snapshot of the latest recorded frontier now (final flush,
-  // signal path). Thread-safe; serialized against periodic snapshots.
+  // Writes a snapshot of the latest recorded frontier now, after any
+  // write in flight. Thread-safe.
   void Snapshot();
+
+  // Root-loop driver hooks. Between BeginDrain and Finish, workers append
+  // to the rows, so SnapshotActiveBuilds must not read them: it sets
+  // HaltRequested, which the loop polls before every claim, and waits for
+  // Finish. The driver calls Finish after the workers join; it writes the
+  // final snapshot when the drain stopped early or a halt was requested.
+  void BeginDrain();
+  [[nodiscard]] bool HaltRequested() const;
+  void Finish(bool complete);
 
   [[nodiscard]] std::string FilePath() const;
   [[nodiscard]] std::size_t SnapshotsWritten() const;
   [[nodiscard]] graph::VertexId LastFrontier() const;
 
  private:
-  void SnapshotLocked() REQUIRES(mutex_);
+  // Where a root loop stands, for the signal path.
+  enum class Drain { kNone, kRunning, kFinished };
+
+  // Claims the writer slot and returns the manifest of the current
+  // frontier; Write() releases the slot.
+  pll::BuildManifest BeginWriteLocked() REQUIRES(mutex_);
+  void Write(pll::BuildManifest manifest) EXCLUDES(mutex_);
+  // The signal path's snapshot (see BeginDrain).
+  void SnapshotOrHalt();
+  friend void SnapshotActiveBuilds();
 
   // Ctor-only, then read-only.
   CheckpointOptions options_;
@@ -91,10 +115,19 @@ class Checkpointer {
   double seed_wall_seconds_ = 0.0;  // ctor-only, then read-only
   graph::VertexId finished_since_snapshot_ GUARDED_BY(mutex_) = 0;
   std::size_t snapshots_ GUARDED_BY(mutex_) = 0;
+  bool writing_ GUARDED_BY(mutex_) = false;
+  Drain drain_ GUARDED_BY(mutex_) = Drain::kNone;
+  // Signals the end of a write and each drain_ change.
+  util::CondVar changed_;
+  // Set by the signal path, polled by the root loop before each claim.
+  std::atomic<bool> halt_{false};
 };
 
-// Snapshot every live Checkpointer. Wired into the CLI's signal-flush
-// hook so ^C on a long build leaves a resumable checkpoint behind.
+// The signal path. A build whose root loop runs is halted and its
+// driver's final snapshot awaited; one whose loop has not started is
+// snapshotted directly; one whose loop has finished keeps what its driver
+// wrote. Wired into the CLI's signal-flush hook so ^C on a long build
+// leaves a resumable checkpoint behind.
 void SnapshotActiveBuilds();
 
 }  // namespace parapll::build

@@ -85,6 +85,7 @@ ThreadedDrain DrainThreaded(const BuildPlan& plan,
         manifest, context.order, [&labels](graph::VertexId limit) {
           return labels.SnapshotRows(limit);
         });
+    checkpointer->BeginDrain();
   }
   ThreadedDrain drain;
   drain.loop = DrainRoots(context.rank_graph, labels, *scheduler, options,
@@ -93,8 +94,8 @@ ThreadedDrain DrainThreaded(const BuildPlan& plan,
   // Every claimed root ran to completion, so the smallest unclaimed rank
   // is a true frontier: all ranks below it have finished.
   drain.frontier = drain.complete ? n : scheduler->LowerBound();
-  if (checkpointer && !drain.complete) {
-    checkpointer->Snapshot();  // final flush at the halt frontier
+  if (checkpointer) {
+    checkpointer->Finish(drain.complete);
   }
   return drain;
 }

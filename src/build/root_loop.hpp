@@ -69,7 +69,8 @@ struct RootLoopOutcome {
 // PrunedDijkstra's Labels concept and, when workers > 1, be safe for
 // concurrent Append/ForEach. When `checkpointer` is non-null, claimed
 // roots are tracked so every finished root advances the checkpoint
-// frontier F = min(unclaimed, in-flight): all ranks < F are final.
+// frontier F = min(unclaimed, in-flight): all ranks < F are final; and
+// workers stop claiming once the checkpointer asks for a halt.
 template <typename Labels>
 RootLoopOutcome DrainRoots(const graph::Graph& rank_graph, Labels& labels,
                            RootScheduler& scheduler,
@@ -140,6 +141,9 @@ RootLoopOutcome DrainRoots(const graph::Graph& rank_graph, Labels& labels,
       // ensures at most halt_after_roots claims succeed.
       if (options.halt_after_roots != 0 &&
           claim_budget.fetch_sub(1, std::memory_order_relaxed) <= 0) {
+        break;
+      }
+      if (checkpointer != nullptr && checkpointer->HaltRequested()) {
         break;
       }
       graph::VertexId root;

@@ -8,7 +8,6 @@
 //   auto d = outcome.artifact.index.Query(s, t);
 #pragma once
 
-#include "baseline/bfs.hpp"
 #include "baseline/bidirectional_dijkstra.hpp"
 #include "baseline/dijkstra.hpp"
 #include "baseline/floyd_warshall.hpp"
@@ -31,7 +30,6 @@
 #include "pll/knn_engine.hpp"
 #include "pll/verify.hpp"
 #include "query/query_engine.hpp"
-#include "query/slow_query_log.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"

@@ -16,23 +16,6 @@ namespace parapll::graph {
 
 namespace {
 
-constexpr std::uint64_t kBinaryMagic = 0x50617261504c4c31ULL;  // "ParaPLL1"
-
-template <typename T>
-void WritePod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
-template <typename T>
-T ReadPod(std::istream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof(value));
-  if (!in) {
-    throw std::runtime_error("truncated binary graph stream");
-  }
-  return value;
-}
-
 [[noreturn]] void ThrowAtLine(const char* what, std::size_t line_no) {
   throw std::runtime_error(std::string(what) + " on line " +
                            std::to_string(line_no));
@@ -164,42 +147,6 @@ Graph ReadEdgeListTextFile(const std::string& path, bool compact_ids,
   return ReadEdgeListText(in, compact_ids, max_vertices);
 }
 
-Graph ReadBinary(std::istream& in, VertexId max_vertices) {
-  if (ReadPod<std::uint64_t>(in) != kBinaryMagic) {
-    throw std::runtime_error("bad binary graph magic");
-  }
-  const auto n64 = ReadPod<std::uint64_t>(in);
-  // Bounds: the declared count sizes O(n) adjacency allocations in
-  // FromEdges, so it must fit the id space and the caller's budget
-  // before anything is allocated from it.
-  if (n64 > max_vertices) {
-    throw std::runtime_error("binary graph vertex count out of range");
-  }
-  const auto n = static_cast<VertexId>(n64);
-  const auto m = ReadPod<std::uint64_t>(in);
-  std::vector<Edge> edges;
-  // Bounds: m is attacker-declared; cap the hint and let push_back grow
-  // proportionally to the 12-byte records actually present.
-  edges.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(m, std::uint64_t{1} << 16)));
-  for (std::uint64_t i = 0; i < m; ++i) {
-    Edge e;
-    e.u = ReadPod<VertexId>(in);
-    e.v = ReadPod<VertexId>(in);
-    e.weight = ReadPod<Weight>(in);
-    // FromEdges enforces these with a process-aborting check; a corrupt
-    // file must surface as a recoverable error instead.
-    if (e.u >= n || e.v >= n) {
-      throw std::runtime_error("binary graph edge endpoint out of range");
-    }
-    if (e.weight == 0) {
-      throw std::runtime_error("binary graph zero edge weight");
-    }
-    edges.push_back(e);
-  }
-  return Graph::FromEdges(n, edges);
-}
-
 // parapll-lint: end-untrusted-decode
 
 void WriteEdgeListText(const Graph& g, std::ostream& out) {
@@ -216,34 +163,6 @@ void WriteEdgeListTextFile(const Graph& g, const std::string& path) {
     throw std::runtime_error("cannot open " + path);
   }
   WriteEdgeListText(g, out);
-}
-
-void WriteBinary(const Graph& g, std::ostream& out) {
-  WritePod(out, kBinaryMagic);
-  WritePod(out, static_cast<std::uint64_t>(g.NumVertices()));
-  const std::vector<Edge> edges = g.ToEdgeList();
-  WritePod(out, static_cast<std::uint64_t>(edges.size()));
-  for (const Edge& e : edges) {
-    WritePod(out, e.u);
-    WritePod(out, e.v);
-    WritePod(out, e.weight);
-  }
-}
-
-void WriteBinaryFile(const Graph& g, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    throw std::runtime_error("cannot open " + path);
-  }
-  WriteBinary(g, out);
-}
-
-Graph ReadBinaryFile(const std::string& path, VertexId max_vertices) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("cannot open " + path);
-  }
-  return ReadBinary(in, max_vertices);
 }
 
 }  // namespace parapll::graph

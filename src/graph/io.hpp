@@ -1,12 +1,8 @@
-// Graph (de)serialization.
+// Graph (de)serialization as a text edge list: "u v w" per line, '#'
+// comments, SNAP-compatible when the weight column is omitted (weight
+// defaults to 1).
 //
-// Two formats:
-//  * text edge list — "u v w" per line, '#' comments, SNAP-compatible when
-//    the weight column is omitted (weight defaults to 1);
-//  * binary — a compact little-endian dump with a magic header, used to
-//    cache generated datasets between bench runs.
-//
-// Both readers treat their bytes as untrusted (files are downloaded,
+// The reader treats its bytes as untrusted (files are downloaded,
 // copied, or attacker-supplied): malformed fields, out-of-range vertex
 // ids, zero/negative/non-numeric weights, and truncation all surface as
 // recoverable std::runtime_error — never an abort, a silently truncated
@@ -41,16 +37,5 @@ Graph ReadEdgeListTextFile(const std::string& path, bool compact_ids = false,
 // Writes "u v w" lines (u < v), one undirected edge per line.
 void WriteEdgeListText(const Graph& g, std::ostream& out);
 void WriteEdgeListTextFile(const Graph& g, const std::string& path);
-
-// --- binary -----------------------------------------------------------
-
-// Binary round-trip: WriteBinary(g) |> ReadBinary == g. ReadBinary
-// validates the declared vertex count, every edge endpoint, and every
-// weight before Graph construction.
-void WriteBinary(const Graph& g, std::ostream& out);
-Graph ReadBinary(std::istream& in, VertexId max_vertices = kInvalidVertex);
-void WriteBinaryFile(const Graph& g, const std::string& path);
-Graph ReadBinaryFile(const std::string& path,
-                     VertexId max_vertices = kInvalidVertex);
 
 }  // namespace parapll::graph

@@ -144,7 +144,7 @@ void RenderHistogram(std::ostream& out, const std::string& pname,
     out << pname << "_bucket{le=\"" << le << "\"} " << cumulative;
     // OpenMetrics exemplar: the last sample that landed in this bucket
     // and the request context that produced it, joinable against the
-    // slow-query log and profiler contexts on the same id.
+    // request log and profiler contexts on the same id.
     const HistogramExemplar& exemplar = snap.exemplars[b];
     if (exemplar.valid && exemplar.request_id != 0) {
       out << " # {request_id=\"" << ContextIdToString(exemplar.request_id)

@@ -3,7 +3,7 @@
 // Pieces, bottom up:
 //   * RequestContext      — a 64-bit id (kind tag in the top byte, payload
 //                           below) carried in a thread-local so profiler
-//                           samples, slow-query-log records, and Prometheus
+//                           samples, request-log records, and Prometheus
 //                           exemplars are joinable on one key. QueryBatch
 //                           mints one per batch; the build root loop tags
 //                           each root. ScopedRequestContext is the RAII

@@ -143,7 +143,6 @@ std::size_t ProbeRegistry::Size() const {
 TelemetrySampler::TelemetrySampler(TelemetryOptions options)
     : options_(options) {
   options_.period = std::max(options_.period, std::chrono::milliseconds(1));
-  options_.ring_capacity = std::max<std::size_t>(options_.ring_capacity, 1);
 }
 
 TelemetrySampler::~TelemetrySampler() { Stop(); }
@@ -207,21 +206,12 @@ TelemetrySample TelemetrySampler::SampleNow() {
   TelemetrySample sample = CollectSample();
   util::MutexLock lock(mutex_);
   sample.seq = seq_++;
-  ring_.push_back(sample);
-  while (ring_.size() > options_.ring_capacity) {
-    ring_.pop_front();
-  }
   if (out_ != nullptr) {
     WriteJsonLine(sample, *out_);
     *out_ << '\n';
     out_->flush();
   }
   return sample;
-}
-
-std::vector<TelemetrySample> TelemetrySampler::Samples() const {
-  util::MutexLock lock(mutex_);
-  return {ring_.begin(), ring_.end()};
 }
 
 std::uint64_t TelemetrySampler::TotalSamples() const {

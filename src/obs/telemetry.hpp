@@ -12,9 +12,10 @@
 //                           per sample. ScopedProbe is the RAII form.
 //   * TelemetrySampler    — a background thread that, every `period`,
 //                           collects the probes, snapshots the registry
-//                           plus process stats into a fixed-capacity ring
-//                           buffer, and optionally appends one JSON line
-//                           per sample to a file (--telemetry-jsonl).
+//                           plus process stats, and optionally appends
+//                           one JSON line per sample to a file
+//                           (--telemetry-jsonl). It keeps no samples:
+//                           the file is the time series.
 //   * ScopedSignalFlush   — runs registered flush callbacks on SIGINT /
 //                           SIGTERM, then _exits with 128+signo, so a
 //                           long run interrupted at the terminal still
@@ -27,7 +28,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -116,9 +116,6 @@ struct TelemetrySample {
 
 struct TelemetryOptions {
   std::chrono::milliseconds period{100};
-  // Ring buffer keeps the most recent `ring_capacity` samples for
-  // in-process consumers (the stats endpoint, tests).
-  std::size_t ring_capacity = 512;
   // When non-empty, every sample is appended to this file as one JSON
   // line (flushed per line; the file survives a crash of the next line).
   std::string jsonl_path;
@@ -140,13 +137,11 @@ class TelemetrySampler {
   void Stop();
   [[nodiscard]] bool Running() const;
 
-  // Takes a sample immediately (also rings it / writes the JSONL line).
-  // Safe from any thread.
+  // Takes a sample immediately (also writes its JSONL line) and returns
+  // it. Safe from any thread.
   TelemetrySample SampleNow();
 
-  // Copy of the ring, oldest first.
-  [[nodiscard]] std::vector<TelemetrySample> Samples() const;
-  // Samples taken since Start(), including ones the ring has evicted.
+  // Samples taken since construction.
   [[nodiscard]] std::uint64_t TotalSamples() const;
 
   // Serializes one sample as a single JSON line (no trailing newline).
@@ -167,7 +162,6 @@ class TelemetrySampler {
   bool running_ GUARDED_BY(mutex_) = false;
   bool stop_requested_ GUARDED_BY(mutex_) = false;
   std::uint64_t seq_ GUARDED_BY(mutex_) = 0;
-  std::deque<TelemetrySample> ring_ GUARDED_BY(mutex_);
   std::unique_ptr<std::ofstream> out_ GUARDED_BY(mutex_);
 };
 

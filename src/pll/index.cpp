@@ -23,24 +23,7 @@ graph::Distance Index::Query(graph::VertexId s, graph::VertexId t) const {
   if (s == t) {
     return 0;
   }
-  const graph::VertexId rs = rank_of_[s];
-  const graph::VertexId rt = rank_of_[t];
-  if (!obs::MetricsEnabled()) {
-    return store_.Query(rs, rt);
-  }
-  // Instrumented path: a query is an O(|L(s)| + |L(t)|) sorted-row merge,
-  // so "entries scanned" is exactly the two row lengths.
-  auto& registry = obs::Registry::Global();
-  static obs::Counter& queries = registry.GetCounter("query.count");
-  static obs::Histogram& latency = registry.GetHistogram("query.latency_ns");
-  static obs::Histogram& scanned =
-      registry.GetHistogram("query.entries_scanned");
-  const std::uint64_t start = obs::TraceNowNs();
-  const graph::Distance d = store_.Query(rs, rt);
-  latency.Record(obs::TraceNowNs() - start);
-  scanned.Record(store_.Row(rs).size() + store_.Row(rt).size());
-  queries.Add(1);
-  return d;
+  return store_.Query(rank_of_[s], rank_of_[t]);
 }
 
 std::size_t Index::MemoryBytes() const {

@@ -95,8 +95,9 @@ inline graph::Distance QuerySentinel(const LabelEntry* a,
   return MergeSentinelRows<false>(a, b, nullptr);
 }
 
-// QuerySentinel that also adds the entries it scanned to `scanned` (the
-// slow-query log's and the benchmark's work counter).
+// QuerySentinel that also adds the entries it scanned to `scanned`.
+// perfbench is its only caller: it measures query.entries_per_pair with
+// it, outside the serving loop.
 inline graph::Distance QuerySentinelCounted(const LabelEntry* a,
                                             const LabelEntry* b,
                                             std::uint64_t& scanned) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
@@ -36,8 +35,6 @@ QueryEngine::QueryEngine(std::shared_ptr<const pll::LabelSource> source,
   rank_of_ =
       pll::InvertOrder(std::vector<graph::VertexId>(order.begin(), order.end()));
   PARAPLL_CHECK(options_.threads >= 1);
-  options_.min_pairs_per_shard = std::max<std::size_t>(
-      options_.min_pairs_per_shard, 1);
   if (options_.threads > 1) {
     pool_ = std::make_unique<util::ThreadPool>(options_.threads);
   }
@@ -65,10 +62,8 @@ void QueryEngine::RegisterProbes() {
       [source] { return static_cast<double>(source->MemoryBytes()); }));
 }
 
-template <bool kLogged>
 void QueryEngine::RunShard(std::span<const QueryPair> pairs,
-                           std::span<graph::Distance> out, std::size_t base,
-                           std::span<const BatchTraceSlice> traces) const {
+                           std::span<graph::Distance> out) const {
   if (pairs.empty()) {
     return;
   }
@@ -83,9 +78,6 @@ void QueryEngine::RunShard(std::span<const QueryPair> pairs,
     pll::PrefetchRow(b);
     return std::pair{a, b};
   };
-  // Slices are sorted and disjoint, and this shard walks the batch in
-  // order, so one forward cursor resolves every pair's trace.
-  [[maybe_unused]] std::size_t cursor = 0;
   auto next = rows_of(pairs[0]);
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     const auto [a, b] = next;
@@ -93,32 +85,12 @@ void QueryEngine::RunShard(std::span<const QueryPair> pairs,
       next = rows_of(pairs[i + 1]);
     }
     const auto [s, t] = pairs[i];
-    if constexpr (!kLogged) {
-      out[i] = s == t ? graph::Distance{0} : pll::QuerySentinel(a, b);
-    } else {
-      const std::size_t global = base + i;
-      while (cursor < traces.size() && traces[cursor].end <= global) {
-        ++cursor;
-      }
-      const std::string_view trace_id =
-          cursor < traces.size() && traces[cursor].begin <= global
-              ? traces[cursor].trace_id
-              : std::string_view{};
-      const std::uint64_t start_ns = obs::TraceNowNs();
-      std::uint64_t scanned = 0;
-      const graph::Distance d =
-          s == t ? graph::Distance{0}
-                 : pll::QuerySentinelCounted(a, b, scanned);
-      out[i] = d;
-      options_.slow_log->Observe(s, t, d, scanned,
-                                 obs::TraceNowNs() - start_ns, trace_id);
-    }
+    out[i] = s == t ? graph::Distance{0} : pll::QuerySentinel(a, b);
   }
 }
 
-std::uint64_t QueryEngine::QueryBatchTraced(
-    std::span<const QueryPair> pairs, std::span<graph::Distance> out,
-    std::span<const BatchTraceSlice> traces) {
+std::uint64_t QueryEngine::QueryBatch(std::span<const QueryPair> pairs,
+                                      std::span<graph::Distance> out) {
   if (pairs.size() != out.size()) {
     throw std::invalid_argument("QueryBatch spans differ in size");
   }
@@ -131,8 +103,9 @@ std::uint64_t QueryEngine::QueryBatchTraced(
   PARAPLL_SPAN("query.batch", "pairs", pairs.size());
 
   // One request context per batch: profiler samples taken inside any
-  // shard, slow-log records, and the latency exemplar below all carry
-  // this id, so "which batch was hot?" joins across all three.
+  // shard, the request-log record of every request the batch answers,
+  // and the latency exemplar below all carry this id, so "which batch
+  // was hot?" joins across all three.
   const std::uint64_t context = obs::NextQueryBatchContext();
   obs::ScopedRequestContext scoped_context(context);
 
@@ -141,18 +114,13 @@ std::uint64_t QueryEngine::QueryBatchTraced(
 
   // Shard count: enough to keep every worker busy, but never shards so
   // small that hand-off overhead dominates the merges themselves.
-  std::size_t shards = std::min(
-      options_.threads,
-      (pairs.size() + options_.min_pairs_per_shard - 1) /
-          options_.min_pairs_per_shard);
+  std::size_t shards =
+      std::min(options_.threads,
+               (pairs.size() + kMinPairsPerShard - 1) / kMinPairsPerShard);
   shards = std::max<std::size_t>(shards, 1);
 
-  // One pointer test selects the instrumented path; engines without a
-  // slow-query log keep the branch-minimal merge loop.
-  const bool logged = options_.slow_log != nullptr;
   if (shards == 1 || pool_ == nullptr) {
-    logged ? RunShard<true>(pairs, out, 0, traces)
-           : RunShard<false>(pairs, out, 0, traces);
+    RunShard(pairs, out);
   } else {
     const std::size_t chunk = (pairs.size() + shards - 1) / shards;
     for (std::size_t s = 0; s < shards; ++s) {
@@ -161,15 +129,14 @@ std::uint64_t QueryEngine::QueryBatchTraced(
       if (begin >= end) {
         break;
       }
-      pool_->Submit([this, metrics, logged, context, begin, traces,
+      pool_->Submit([this, metrics, context,
                      shard_pairs = pairs.subspan(begin, end - begin),
                      shard_out = out.subspan(begin, end - begin)](std::size_t) {
         // Worker threads inherit the batch's context so their profiler
-        // samples and slow-log records attribute to it.
+        // samples attribute to it.
         obs::ScopedRequestContext shard_context(context);
         const std::uint64_t shard_start = metrics ? obs::TraceNowNs() : 0;
-        logged ? RunShard<true>(shard_pairs, shard_out, begin, traces)
-               : RunShard<false>(shard_pairs, shard_out, begin, traces);
+        RunShard(shard_pairs, shard_out);
         if (metrics) {
           static obs::Histogram& shard_ns =
               obs::Registry::Global().GetHistogram("query.batch.shard_ns");
@@ -195,11 +162,6 @@ std::uint64_t QueryEngine::QueryBatchTraced(
     sizes.Record(pairs.size());
   }
   return context;
-}
-
-void QueryEngine::QueryBatch(std::span<const QueryPair> pairs,
-                             std::span<graph::Distance> out) {
-  QueryBatchTraced(pairs, out, {});
 }
 
 std::vector<graph::Distance> QueryEngine::QueryBatch(

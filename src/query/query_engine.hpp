@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <utility>
@@ -28,7 +29,6 @@
 #include "obs/telemetry.hpp"
 #include "pll/index.hpp"
 #include "pll/label_source.hpp"
-#include "query/slow_query_log.hpp"
 #include "util/thread_pool.hpp"
 
 namespace parapll::query {
@@ -36,29 +36,14 @@ namespace parapll::query {
 // One (source, target) pair in original vertex ids.
 using QueryPair = std::pair<graph::VertexId, graph::VertexId>;
 
-// Contiguous range of a batch's pairs attributed to one wire-level trace
-// id — the serving daemon coalesces many client requests into one batch
-// and passes its per-request slices here so slow-query-log records name
-// the client request, not just the batch. Slices must be sorted by
-// `begin`, disjoint, and inside the batch; gaps are simply unattributed.
-// The viewed strings must outlive the QueryBatchTraced call.
-struct BatchTraceSlice {
-  std::size_t begin = 0;
-  std::size_t end = 0;  // exclusive
-  std::string_view trace_id;
-};
-
 struct QueryEngineOptions {
   // Worker threads answering shards; 1 answers on the calling thread.
   std::size_t threads = 1;
-  // A shard smaller than this is not worth a pool hand-off; small batches
-  // therefore run inline even on a multi-threaded engine.
-  std::size_t min_pairs_per_shard = 256;
-  // When non-null, every answered pair is timed and offered to this log
-  // (threshold + 1-in-N sampling; see slow_query_log.hpp). The log must
-  // outlive the engine. Null keeps the uninstrumented merge loop.
-  SlowQueryLog* slow_log = nullptr;
 };
+
+// A shard smaller than this is not worth a pool hand-off; small batches
+// therefore run inline even on a multi-threaded engine.
+inline constexpr std::size_t kMinPairsPerShard = 256;
 
 class QueryEngine {
  public:
@@ -85,20 +70,14 @@ class QueryEngine {
   // Answers pairs[i] into out[i] for every i. Throws std::invalid_argument
   // when the spans disagree in size and std::out_of_range when any vertex
   // id is >= NumVertices() (checked up front; out is untouched on throw).
-  void QueryBatch(std::span<const QueryPair> pairs,
-                  std::span<graph::Distance> out);
+  // Returns the batch's obs request-context id, so a caller can join its
+  // own records (the serving daemon's request log) to the profiler
+  // samples and histogram exemplars that carry the same id.
+  std::uint64_t QueryBatch(std::span<const QueryPair> pairs,
+                           std::span<graph::Distance> out);
 
   // Convenience allocating overload.
   std::vector<graph::Distance> QueryBatch(std::span<const QueryPair> pairs);
-
-  // QueryBatch plus trace attribution: `traces` maps contiguous pair
-  // ranges to client trace ids for the slow-query log. Returns the
-  // batch's obs request-context id so the caller can join its own
-  // records (the serving daemon's wide-event log) to profiler samples
-  // and histogram exemplars carrying the same id.
-  std::uint64_t QueryBatchTraced(std::span<const QueryPair> pairs,
-                                 std::span<graph::Distance> out,
-                                 std::span<const BatchTraceSlice> traces);
 
  private:
   void RegisterProbes();
@@ -108,14 +87,9 @@ class QueryEngine {
     return rank_of_[v];
   }
   // Answers one contiguous shard (already validated), prefetching the
-  // next pair's rows while the current pair merges. With kLogged, each
-  // pair is also timed and scanned-entry-counted for the attached
-  // slow-query log; `base` is the shard's offset in the batch, used to
-  // resolve the trace slice covering each pair.
-  template <bool kLogged>
+  // next pair's rows while the current pair merges.
   void RunShard(std::span<const QueryPair> pairs,
-                std::span<graph::Distance> out, std::size_t base,
-                std::span<const BatchTraceSlice> traces) const;
+                std::span<graph::Distance> out) const;
 
   std::shared_ptr<const pll::LabelSource> source_;
   std::vector<graph::VertexId> rank_of_;  // original id -> rank

@@ -22,7 +22,7 @@
 // carrying a client-supplied trace id (absent block == no id — old
 // clients' frames are byte-identical to pre-0.8). The server echoes the
 // request's id on the matching OK/SHED response and threads it through
-// the wide-event request log and slow-query log. Hostile bytes are
+// the wide-event request log. Hostile bytes are
 // sanitized on decode: ids are capped at kMaxTraceIdBytes (a longer
 // declared length throws) and every byte outside [A-Za-z0-9._:/-] is
 // replaced with '_' so ids are always safe to grep and to embed in JSON.

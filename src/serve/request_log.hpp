@@ -20,8 +20,8 @@
 //
 // The trace_id is the wire-level id (client-supplied or server-minted),
 // and "batch" is the obs request-context id of the coalesced QueryBatch —
-// the same key slow-query-log records, profiler samples, and histogram
-// exemplars carry, so one slow request joins across all four sinks.
+// the same key profiler samples and histogram exemplars carry, so one
+// slow request joins across the log, the profile and /metrics.
 #pragma once
 
 #include <atomic>

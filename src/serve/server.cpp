@@ -117,8 +117,6 @@ QueryServer::QueryServer(pll::Index index, ServeOptions options)
 QueryServer::QueryServer(pll::ServableIndex servable, ServeOptions options)
     : options_(std::move(options)), request_log_(options_.request_log) {
   engine_options_.threads = std::max<std::size_t>(options_.engine_threads, 1);
-  engine_options_.min_pairs_per_shard = options_.min_pairs_per_shard;
-  engine_options_.slow_log = options_.slow_log;
   util::MutexLock lock(mutex_);
   served_ = std::make_shared<Served>(std::move(servable), engine_options_);
   served_->published_ns = obs::TraceNowNs();
@@ -479,12 +477,10 @@ void QueryServer::DrainPending(std::vector<PendingRequest>& pending) {
 
   // Validate per request so one bad vertex id cannot poison the batch
   // (QueryBatch throws on any out-of-range id, checked up front), and
-  // concatenate the rest, remembering which slice each request owns so
-  // the engine can attribute per-shard slow-query records to the wire
-  // trace id. The slices view strings in `pending`, which outlives the
-  // batch call.
+  // concatenate the rest in `pending` order, which is also the order the
+  // answers are sliced back out below.
   batch_pairs_.clear();
-  batch_traces_.clear();
+  bool any_batched = false;
   for (PendingRequest& request : pending) {
     request.conn->owed_bytes = 0;  // every pending answer is framed below
     if (request.conn->dead) {
@@ -509,16 +505,14 @@ void QueryServer::DrainPending(std::vector<PendingRequest>& pending) {
       continue;
     }
     request.batched = true;
-    const std::size_t begin = batch_pairs_.size();
+    any_batched = true;
     batch_pairs_.insert(batch_pairs_.end(), request.pairs.begin(),
                         request.pairs.end());
-    batch_traces_.push_back(query::BatchTraceSlice{
-        begin, batch_pairs_.size(), request.trace_id});
   }
   if (obs::MetricsEnabled()) {
     Metrics().queue_depth.Set(static_cast<double>(batch_pairs_.size()));
   }
-  if (batch_traces_.empty()) {
+  if (!any_batched) {
     return;
   }
 
@@ -526,9 +520,7 @@ void QueryServer::DrainPending(std::vector<PendingRequest>& pending) {
   const std::uint64_t batch_start_ns = obs::TraceNowNs();
   std::uint64_t batch_context = 0;
   if (!batch_pairs_.empty()) {
-    batch_context =
-        served->engine.QueryBatchTraced(batch_pairs_, batch_out_,
-                                        batch_traces_);
+    batch_context = served->engine.QueryBatch(batch_pairs_, batch_out_);
   }
   const std::uint64_t done_ns = obs::TraceNowNs();
 

@@ -38,9 +38,10 @@
 //
 //   * Observability: every DISTANCE_QUERY carries a wire-level trace id
 //     (client-supplied, or server-minted "srv-N") that is echoed on its
-//     response — OK and SHED alike — threaded into the engine's
-//     slow-query log, and recorded with queue wait / batch id / latency
-//     in a wide-event RequestLog exposed at /debug/requests. The INFO
+//     response — OK and SHED alike — and recorded with queue wait / batch
+//     id / latency in a wide-event RequestLog exposed at /debug/requests.
+//     The batch id is the engine's request context, which profiler
+//     samples and histogram exemplars carry too. The INFO
 //     frame and /healthz report live saturation (queue depth, cumulative
 //     sheds, served-snapshot age).
 //
@@ -86,7 +87,6 @@ struct ServeOptions {
   std::uint16_t port = 0;
   // Worker threads inside the QueryEngine answering coalesced batches.
   std::size_t engine_threads = 1;
-  std::size_t min_pairs_per_shard = 256;
   // A connection silent this long is closed (server.idle_closed).
   int idle_timeout_ms = 30'000;
   std::size_t max_connections = 64;
@@ -104,10 +104,6 @@ struct ServeOptions {
   // Served snapshot — the RCU flip gives the unmap-after-drain guarantee
   // for free.
   pll::StoreBackend backend = pll::StoreBackend::kHeap;
-  // When non-null, every served pair is timed into this slow-query log
-  // (with the request's wire-level trace id attached). Must outlive the
-  // server; hot-swapped engines share it.
-  query::SlowQueryLog* slow_log = nullptr;
   // Wide-event request log configuration. The in-memory ring (and the
   // /debug/requests endpoint backed by it) is always on; `path` adds the
   // on-disk JSONL stream.
@@ -263,12 +259,11 @@ class QueryServer {
   RequestLog request_log_;
 
   // Event-loop scratch, reused across cycles: the recv buffer (sized
-  // once), the decoded payload, and the coalesced batch's pairs, trace
-  // slices and answers.
+  // once), the decoded payload, and the coalesced batch's pairs and
+  // answers.
   std::vector<char> read_buf_;
   std::string payload_;
   std::vector<query::QueryPair> batch_pairs_;
-  std::vector<query::BatchTraceSlice> batch_traces_;
   std::vector<graph::Distance> batch_out_;
   // Pairs admitted but not yet drained this coalescing cycle; event-loop
   // thread only (the admission decision and the drain share that thread).

@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <future>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "build/artifact.hpp"
@@ -20,6 +23,7 @@
 #include "pll/index.hpp"
 #include "pll/label_store.hpp"
 #include "pll/verify.hpp"
+#include "util/mutex.hpp"
 
 namespace parapll::build {
 namespace {
@@ -170,6 +174,118 @@ TEST(Checkpoint, CheckpointerTracksFrontierAndSnapshotCount) {
   EXPECT_DOUBLE_EQ(artifact.Manifest().wall_seconds, 1.0);
   // Only hubs < frontier survive into the snapshot.
   EXPECT_EQ(artifact.index.Store().TotalEntries(), 3u);
+}
+
+// A periodic write runs outside the lock every worker takes after each
+// root: while one worker's rows callback blocks, another worker's report
+// must return at once, and the snapshot it made due waits for a later
+// root instead of for the writer.
+TEST(Checkpoint, SnapshotWriteDoesNotStallOtherWorkers) {
+  const graph::Graph g = graph::Path(6, {graph::WeightModel::kUnit, 1}, 1);
+  const std::string dir = FreshDir("unstalled");
+  util::Mutex mutex;
+  util::CondVar changed;
+  bool entered = false;
+  bool released = false;
+  Checkpointer checkpointer(
+      {dir, 1}, StubManifest(g, 0), {0, 1, 2, 3, 4, 5},
+      [&](graph::VertexId /*limit*/) {
+        util::MutexLock lock(mutex);
+        entered = true;
+        changed.NotifyAll();
+        while (!released) {
+          changed.Wait(mutex);
+        }
+        return std::vector<std::vector<pll::LabelEntry>>(6);
+      });
+  const pll::PruneStats stats;
+  std::thread writer([&] { checkpointer.OnRootFinished(1, stats, 0.1); });
+  {
+    util::MutexLock lock(mutex);
+    while (!entered) {
+      changed.Wait(mutex);
+    }
+  }
+  // The writer now sits in its rows callback.
+  std::future<void> other = std::async(std::launch::async, [&] {
+    checkpointer.OnRootFinished(2, stats, 0.2);
+  });
+  const bool returned = other.wait_for(std::chrono::seconds(5)) ==
+                        std::future_status::ready;
+  EXPECT_TRUE(returned)
+      << "OnRootFinished waited for another thread's snapshot write";
+  if (returned) {
+    EXPECT_EQ(checkpointer.LastFrontier(), 2u);
+    EXPECT_EQ(checkpointer.SnapshotsWritten(), 0u);
+  }
+  {
+    util::MutexLock lock(mutex);
+    released = true;
+    changed.NotifyAll();
+  }
+  writer.join();
+  other.get();
+  EXPECT_EQ(checkpointer.SnapshotsWritten(), 1u);
+  EXPECT_EQ(IndexArtifact::Load(checkpointer.FilePath())
+                .Manifest()
+                .roots_completed,
+            1u);
+
+  checkpointer.OnRootFinished(3, stats, 0.3);
+  EXPECT_EQ(checkpointer.SnapshotsWritten(), 2u);
+  EXPECT_EQ(IndexArtifact::Load(checkpointer.FilePath())
+                .Manifest()
+                .roots_completed,
+            3u);
+}
+
+// The signal path during a serial build: SnapshotActiveBuilds on another
+// thread must not read the rows the worker appends to. It halts the root
+// loop and returns once the driver has written its final snapshot, and
+// the build resumes from that snapshot to the uninterrupted build's rows.
+TEST(Checkpoint, SignalSnapshotHaltsASerialBuildThatThenResumes) {
+  const graph::Graph g =
+      graph::RoadGrid(64, 64, 0.9, 4, {graph::WeightModel::kUniform, 40}, 5);
+  const std::string dir = FreshDir("signal");
+  obs::Registry& registry = obs::Registry::Global();
+  registry.Reset();
+  obs::Gauge& roots_done = registry.GetGauge("indexer.progress.roots_done");
+  roots_done.Set(0.0);
+  obs::SetMetricsEnabled(true);
+
+  BuildPlan plan;
+  plan.mode = BuildMode::kSerial;
+  plan.checkpoint_dir = dir;
+  plan.checkpoint_every = 64;
+  std::thread signal([&roots_done] {
+    // Mid-build: the root loop has finished its first root.
+    while (roots_done.Value() < 1.0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    SnapshotActiveBuilds();
+  });
+  const BuildOutcome halted = build::Run(g, plan);
+  signal.join();
+  obs::SetMetricsEnabled(false);
+
+  ASSERT_FALSE(halted.complete) << "the build finished before the halt";
+  const std::uint64_t frontier = halted.artifact.Manifest().roots_completed;
+  const IndexArtifact on_disk =
+      IndexArtifact::LoadFor(dir + "/checkpoint.bin", g);
+  EXPECT_EQ(on_disk.Manifest().roots_completed, frontier);
+  EXPECT_GE(frontier, 1u);
+  EXPECT_LT(frontier, g.NumVertices());
+
+  BuildPlan resume;
+  resume.mode = BuildMode::kSerial;
+  resume.resume_dir = dir;
+  const BuildOutcome resumed = build::Run(g, resume);
+  EXPECT_TRUE(resumed.complete);
+  EXPECT_EQ(resumed.roots_finished, g.NumVertices() - frontier);
+  const BuildOutcome straight = build::Run(g, {});
+  EXPECT_EQ(resumed.artifact.index.Order(), straight.artifact.index.Order());
+  EXPECT_EQ(resumed.artifact.index.Store().ToRows(),
+            straight.artifact.index.Store().ToRows());
 }
 
 TEST(Checkpoint, ArtifactSaveLoadRoundTripsManifest) {

@@ -69,44 +69,16 @@ TEST(IoTest, TextRoundTrip) {
   EXPECT_EQ(g, g2);
 }
 
-TEST(IoTest, BinaryRoundTrip) {
-  const Graph g = BarabasiAlbert(
-      50, 3, WeightOptions{WeightModel::kUniform, 100}, 6);
-  std::stringstream buffer;
-  WriteBinary(g, buffer);
-  const Graph g2 = ReadBinary(buffer);
-  EXPECT_EQ(g, g2);
-}
-
-TEST(IoTest, BinaryRejectsBadMagic) {
-  std::stringstream buffer;
-  buffer << "not a graph at all, definitely";
-  EXPECT_THROW(ReadBinary(buffer), std::runtime_error);
-}
-
-TEST(IoTest, BinaryRejectsTruncation) {
-  const Graph g = Path(5, WeightOptions{WeightModel::kUnit, 1}, 1);
-  std::stringstream buffer;
-  WriteBinary(g, buffer);
-  const std::string full = buffer.str();
-  std::stringstream truncated(full.substr(0, full.size() / 2));
-  EXPECT_THROW(ReadBinary(truncated), std::runtime_error);
-}
-
 TEST(IoTest, FileRoundTrips) {
   const Graph g = Cycle(12, WeightOptions{WeightModel::kUniform, 9}, 2);
   const std::string text_path = testing::TempDir() + "/parapll_io_test.txt";
-  const std::string bin_path = testing::TempDir() + "/parapll_io_test.bin";
   WriteEdgeListTextFile(g, text_path);
-  WriteBinaryFile(g, bin_path);
   EXPECT_EQ(ReadEdgeListTextFile(text_path), g);
-  EXPECT_EQ(ReadBinaryFile(bin_path), g);
 }
 
 TEST(IoTest, MissingFileThrows) {
   EXPECT_THROW(ReadEdgeListTextFile("/nonexistent/nope.txt"),
                std::runtime_error);
-  EXPECT_THROW(ReadBinaryFile("/nonexistent/nope.bin"), std::runtime_error);
 }
 
 }  // namespace

@@ -157,7 +157,7 @@ TEST(LabelSourceTest, AllBackendsAnswerIdenticallyAcrossGraphFamilies) {
     for (const pll::ServableIndex* servable : {&heap, &mapped}) {
       SCOPED_TRACE(pll::ToString(servable->backend));
       query::QueryEngine engine(servable->source, servable->order,
-                                {.threads = 2, .min_pairs_per_shard = 64});
+                                {.threads = 2});
       EXPECT_EQ(engine.QueryBatch(pairs), expected);
     }
     std::remove(path.c_str());

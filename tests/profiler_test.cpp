@@ -151,15 +151,13 @@ TEST(ProfilerTest, CapturesQueryBatchWithBatchAttribution) {
         static_cast<graph::VertexId>(rng.Below(index.NumVertices())),
         static_cast<graph::VertexId>(rng.Below(index.NumVertices())));
   }
-  // A never-matching slow-query log selects the timed merge path, whose
-  // per-query clock reads give sanitizers (which defer async signals to
-  // library-call boundaries) delivery points *inside* the batch context;
-  // the plain merge loop has none, so under TSan every deferred SIGPROF
-  // would otherwise land after the shard context is already gone.
-  std::ostringstream slow_sink;
-  query::SlowQueryLog slow_log(
-      slow_sink, {.threshold_ns = ~0ULL, .sample_every = 0});
-  query::QueryEngine engine(index, {.threads = 2, .slow_log = &slow_log});
+  // With metrics on, every shard reads the clock before and after its
+  // merge loop, still inside the batch context. Sanitizers defer async
+  // signals to library-call boundaries, and the merge loop itself has
+  // none, so under TSan those clock reads are where a deferred SIGPROF
+  // is delivered while the shard context is live.
+  SetMetricsEnabled(true);
+  query::QueryEngine engine(index, {.threads = 2});
   // Preallocated output: keeps the loop free of alloc/free outside the
   // batch context (same deferred-delivery skew, at malloc/free).
   std::vector<graph::Distance> out(pairs.size());
@@ -176,6 +174,7 @@ TEST(ProfilerTest, CapturesQueryBatchWithBatchAttribution) {
     engine.QueryBatch(pairs, out);
   }
   const ProfileReport report = Profiler::Global().Stop();
+  SetMetricsEnabled(false);
 
   ASSERT_GT(report.samples, 0u);
   ASSERT_FALSE(report.stacks.empty());

@@ -43,7 +43,7 @@ TEST(QueryEngineTest, BatchMatchesSerialQueryAndDijkstra) {
   const pll::Index index = BuildTestIndex(g);
   const auto pairs = RandomPairs(g.NumVertices(), 400, 3);
 
-  QueryEngine engine(index, {.threads = 4, .min_pairs_per_shard = 16});
+  QueryEngine engine(index, {.threads = 4});
   const std::vector<graph::Distance> got = engine.QueryBatch(pairs);
 
   ASSERT_EQ(got.size(), pairs.size());
@@ -60,7 +60,7 @@ TEST(QueryEngineTest, SingleThreadMatchesMultiThread) {
   const auto pairs = RandomPairs(g.NumVertices(), 1000, 9);
 
   QueryEngine serial(index, {.threads = 1});
-  QueryEngine threaded(index, {.threads = 3, .min_pairs_per_shard = 8});
+  QueryEngine threaded(index, {.threads = 3});
   EXPECT_EQ(serial.QueryBatch(pairs), threaded.QueryBatch(pairs));
 }
 
@@ -71,7 +71,7 @@ TEST(QueryEngineTest, WorksOnParallelBuiltIndex) {
           .artifact.index;
   const auto pairs = RandomPairs(g.NumVertices(), 300, 1);
 
-  QueryEngine engine(index, {.threads = 2, .min_pairs_per_shard = 32});
+  QueryEngine engine(index, {.threads = 2});
   const auto got = engine.QueryBatch(pairs);
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     EXPECT_EQ(got[i], index.Query(pairs[i].first, pairs[i].second));
@@ -136,7 +136,7 @@ TEST(QueryEngineTest, LargeShardedBatchMatchesPerCall) {
   const pll::Index index = BuildTestIndex(g);
   const auto pairs = RandomPairs(g.NumVertices(), 20000, 23);
 
-  QueryEngine engine(index, {.threads = 4, .min_pairs_per_shard = 256});
+  QueryEngine engine(index, {.threads = 4});
   const auto got = engine.QueryBatch(pairs);
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     ASSERT_EQ(got[i], index.Query(pairs[i].first, pairs[i].second))
@@ -151,8 +151,7 @@ TEST(QueryEngineTest, SourceCtorMatchesIndexCtor) {
   const Graph g = graph::ErdosRenyi(100, 300, kUniform, 37);
   const pll::Index index = BuildTestIndex(g);
   const pll::ServableIndex servable = pll::ServableIndex::FromIndex(index);
-  QueryEngine engine(servable.source, servable.order,
-                     {.threads = 2, .min_pairs_per_shard = 16});
+  QueryEngine engine(servable.source, servable.order, {.threads = 2});
   EXPECT_EQ(&engine.Source(), servable.source.get());
   EXPECT_EQ(engine.NumVertices(), index.NumVertices());
   const auto pairs = RandomPairs(g.NumVertices(), 500, 41);
@@ -164,9 +163,10 @@ TEST(QueryEngineTest, SourceCtorMatchesIndexCtor) {
 TEST(QueryEngineTest, ReusedEngineAnswersManyBatches) {
   const Graph g = graph::BarabasiAlbert(100, 2, kUniform, 29);
   const pll::Index index = BuildTestIndex(g);
-  QueryEngine engine(index, {.threads = 2, .min_pairs_per_shard = 8});
+  QueryEngine engine(index, {.threads = 2});
   for (std::uint64_t round = 0; round < 20; ++round) {
-    const auto pairs = RandomPairs(g.NumVertices(), 64, round);
+    const auto pairs = RandomPairs(g.NumVertices(), 2 * kMinPairsPerShard,
+                                   round);
     const auto got = engine.QueryBatch(pairs);
     for (std::size_t i = 0; i < pairs.size(); ++i) {
       ASSERT_EQ(got[i], index.Query(pairs[i].first, pairs[i].second));

@@ -47,6 +47,18 @@ std::vector<std::string> ReadLines(const std::string& path) {
   return lines;
 }
 
+// The unsigned integer after the first "key": in a JSON line; fails the
+// test (and returns 0) when the key is missing.
+std::uint64_t JsonUint(const std::string& line, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t at = line.find(needle);
+  EXPECT_NE(at, std::string::npos) << key << " missing in " << line;
+  if (at == std::string::npos) {
+    return 0;
+  }
+  return std::stoull(line.substr(at + needle.size()));
+}
+
 // --- rolling-window views -------------------------------------------------
 
 TEST(RollingWindowTest, WindowedViewsDecayAsIntervalsExpire) {
@@ -184,10 +196,13 @@ TEST(ProbeRegistryTest, CollectRunsProbesIntoGauges) {
 }
 
 TEST(TelemetrySamplerTest, PeriodicSamplingProducesMultipleSamples) {
+  const std::string path = TempPath("telemetry_test_periodic.jsonl");
+  std::remove(path.c_str());
   Registry::Global().GetCounter("test.telemetry.counter").Reset();
   Registry::Global().GetCounter("test.telemetry.counter").Add(5);
   TelemetryOptions options;
   options.period = std::chrono::milliseconds(10);
+  options.jsonl_path = path;
   TelemetrySampler sampler(options);
   sampler.Start();
   EXPECT_TRUE(sampler.Running());
@@ -196,37 +211,46 @@ TEST(TelemetrySamplerTest, PeriodicSamplingProducesMultipleSamples) {
   EXPECT_FALSE(sampler.Running());
 
   // ≥2 periodic samples even on a loaded 1-core machine (80ms / 10ms
-  // period leaves lots of slack), plus the final Stop() sample.
+  // period leaves lots of slack), plus the final Stop() sample: one
+  // JSONL line each, numbered in order, with a clock that never runs
+  // backwards.
   EXPECT_GE(sampler.TotalSamples(), 2u);
-  const std::vector<TelemetrySample> samples = sampler.Samples();
-  ASSERT_FALSE(samples.empty());
-  for (std::size_t i = 1; i < samples.size(); ++i) {
-    EXPECT_EQ(samples[i].seq, samples[i - 1].seq + 1);
-    EXPECT_GE(samples[i].mono_ns, samples[i - 1].mono_ns);
+  const std::vector<std::string> lines = ReadLines(path);
+  ASSERT_EQ(lines.size(), sampler.TotalSamples());
+  std::uint64_t last_ns = 0;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(JsonUint(lines[i], "seq"), i) << lines[i];
+    const std::uint64_t mono_ns = JsonUint(lines[i], "mono_ns");
+    EXPECT_GE(mono_ns, last_ns) << lines[i];
+    last_ns = mono_ns;
   }
-  const TelemetrySample& last = samples.back();
-  ASSERT_TRUE(last.registry.counters.count("test.telemetry.counter"));
-  EXPECT_EQ(last.registry.counters.at("test.telemetry.counter"), 5u);
+  EXPECT_NE(lines.back().find("\"test.telemetry.counter\":5"),
+            std::string::npos)
+      << lines.back();
 #if defined(__linux__)
-  EXPECT_TRUE(last.process.valid);
-  EXPECT_GT(last.process.rss_bytes, 0u);
+  EXPECT_NE(lines.back().find("\"valid\":true"), std::string::npos);
+  EXPECT_GT(JsonUint(lines.back(), "rss_bytes"), 0u);
 #endif
+  std::remove(path.c_str());
 }
 
-TEST(TelemetrySamplerTest, RingBufferEvictsOldestButCountsAll) {
+TEST(TelemetrySamplerTest, SampleNowReturnsEveryNumberedSample) {
+  Counter& counter = Registry::Global().GetCounter("test.telemetry.now");
+  counter.Reset();
   TelemetryOptions options;
   options.period = std::chrono::hours(1);  // never fires on its own
-  options.ring_capacity = 4;
   TelemetrySampler sampler(options);
-  for (int i = 0; i < 10; ++i) {
-    sampler.SampleNow();
+  std::uint64_t last_ns = 0;
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    counter.Add(1);
+    const TelemetrySample sample = sampler.SampleNow();
+    EXPECT_EQ(sample.seq, i);
+    EXPECT_GE(sample.mono_ns, last_ns);
+    last_ns = sample.mono_ns;
+    ASSERT_TRUE(sample.registry.counters.count("test.telemetry.now"));
+    EXPECT_EQ(sample.registry.counters.at("test.telemetry.now"), i + 1);
   }
   EXPECT_EQ(sampler.TotalSamples(), 10u);
-  const std::vector<TelemetrySample> samples = sampler.Samples();
-  ASSERT_EQ(samples.size(), 4u);
-  // Oldest first, and the evicted prefix (seq 0..5) is gone.
-  EXPECT_EQ(samples.front().seq, 6u);
-  EXPECT_EQ(samples.back().seq, 9u);
 }
 
 TEST(TelemetrySamplerTest, JsonlFileGetsOneLinePerSample) {

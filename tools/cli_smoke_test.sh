@@ -119,11 +119,4 @@ grep -q ' [0-9][0-9]*$' "$WORK/build.collapsed"
 grep -q '"profile.samples":' "$WORK/build_metrics.json"
 grep -q '"profile.hot.0.kind":2' "$WORK/build_metrics.json"
 
-# Slow-query log: threshold 0 forces a record per query.
-"$CLI" query-bench --index "$WORK/g.index" --pairs 200 --threads 2 \
-  --slow-query-log "$WORK/slow.jsonl" --slow-query-threshold-us 0
-[ "$(wc -l < "$WORK/slow.jsonl")" -eq 200 ]
-grep -q '"reason":"slow"' "$WORK/slow.jsonl"
-grep -q '"latency_ns":' "$WORK/slow.jsonl"
-
 echo "cli smoke test: OK"

@@ -18,7 +18,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -108,11 +107,7 @@ int Usage() {
       "                        (pipe through flamegraph.pl)\n"
       "  --profile-hz N        profiler sample rate (default 97)\n"
       "  --stats-port N        serve Prometheus /metrics and /healthz on\n"
-      "                        127.0.0.1:N (0 = ephemeral, printed)\n"
-      "  --slow-query-log FILE   query-bench/serve: JSONL of slow queries\n"
-      "                        (serve records carry the wire trace id)\n"
-      "  --slow-query-threshold-us N   latency threshold (default 1000)\n"
-      "  --slow-query-sample N   also record every Nth query (0 = off)\n",
+      "                        127.0.0.1:N (0 = ephemeral, printed)\n",
       stderr);
   return 1;
 }
@@ -175,19 +170,6 @@ int CmdBuild(util::ArgParser& args) {
   const build::BuildOutcome outcome = build::Run(g, plan);
   const pll::Index& index = outcome.artifact.index;
   PublishHealthInfo(index);
-  // With metrics on, sample a batch of random queries so a single build
-  // run also yields a query-latency histogram in the snapshot.
-  if (obs::MetricsEnabled() && index.NumVertices() > 0) {
-    util::Rng rng(static_cast<std::uint64_t>(args.GetInt("seed")) ^
-                  0x0b5e77eULL);
-    for (int i = 0; i < 1024; ++i) {
-      const auto s = static_cast<graph::VertexId>(
-          rng.Below(index.NumVertices()));
-      const auto t = static_cast<graph::VertexId>(
-          rng.Below(index.NumVertices()));
-      (void)index.Query(s, t);
-    }
-  }
   const std::string out = args.GetString("out");
   pll::WriteIndexFile(index, out);
   if (outcome.complete) {
@@ -332,39 +314,21 @@ int CmdQueryBench(util::ArgParser& args) {
   const auto threads = static_cast<std::size_t>(args.GetInt("threads"));
   const auto batch =
       std::max<std::size_t>(static_cast<std::size_t>(args.GetInt("batch")), 1);
-  std::unique_ptr<query::SlowQueryLog> slow_log;
-  const std::string slow_path = args.GetString("slow-query-log");
-  if (!slow_path.empty()) {
-    query::SlowQueryLogOptions slow_options;
-    slow_options.threshold_ns =
-        static_cast<std::uint64_t>(std::max<std::int64_t>(
-            args.GetInt("slow-query-threshold-us"), 0)) *
-        1000;
-    slow_options.sample_every = static_cast<std::uint64_t>(
-        std::max<std::int64_t>(args.GetInt("slow-query-sample"), 0));
-    slow_log = std::make_unique<query::SlowQueryLog>(slow_path, slow_options);
-  }
-  auto make_engine = [&](query::SlowQueryLog* log) {
-    return std::make_unique<query::QueryEngine>(
-        servable.source, servable.order,
-        query::QueryEngineOptions{.threads = threads, .slow_log = log});
-  };
+  query::QueryEngine engine(servable.source, servable.order,
+                            {.threads = threads});
   std::vector<graph::Distance> got(pairs.size());
-  auto run_batches = [&](query::QueryEngine& engine) {
+  auto run_batches = [&] {
     for (std::size_t begin = 0; begin < pairs.size(); begin += batch) {
       const std::size_t size = std::min(batch, pairs.size() - begin);
       engine.QueryBatch(std::span(pairs).subspan(begin, size),
                         std::span(got).subspan(begin, size));
     }
   };
-  // One untimed pass first, through an engine without the slow-query log,
-  // so the timed pass reads warm rows: for a mapped file a cold pass
-  // would mostly time first-touch page faults.
-  run_batches(*make_engine(nullptr));
-  const std::unique_ptr<query::QueryEngine> engine =
-      make_engine(slow_log.get());
+  // One untimed pass first, so the timed pass reads warm rows: for a
+  // mapped file a cold pass would mostly time first-touch page faults.
+  run_batches();
   util::WallTimer batched;
-  run_batches(*engine);
+  run_batches();
   const double batched_seconds = batched.Seconds();
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     if (got[i] != expected[i]) {
@@ -391,13 +355,6 @@ int CmdQueryBench(util::ArgParser& args) {
                 ToString(backend),
                 static_cast<double>(servable.file_bytes) / (1024.0 * 1024.0),
                 util::FormatDuration(servable.load_seconds).c_str());
-  }
-  if (slow_log != nullptr) {
-    slow_log->Flush();
-    std::printf("slow-query log: %llu of %llu queries -> %s\n",
-                static_cast<unsigned long long>(slow_log->Records()),
-                static_cast<unsigned long long>(slow_log->Observed()),
-                slow_path.c_str());
   }
   return 0;
 }
@@ -450,27 +407,13 @@ int CmdServe(util::ArgParser& args) {
 
   // One latency objective drives both tails: requests at/over --slo-ms
   // are always kept by the wide-event log, and the same threshold feeds
-  // the slow-query log and the windowed burn-rate gauges.
+  // the windowed burn-rate gauges.
   const double slo_ms = std::max(args.GetDouble("slo-ms"), 0.0);
   const auto slo_ns = static_cast<std::uint64_t>(slo_ms * 1e6);
   options.request_log.path = args.GetString("request-log");
   options.request_log.sample_every = static_cast<std::uint64_t>(
       std::max<std::int64_t>(args.GetInt("request-log-sample"), 0));
   options.request_log.slow_threshold_ns = slo_ns;
-
-  std::unique_ptr<query::SlowQueryLog> slow_log;
-  const std::string slow_path = args.GetString("slow-query-log");
-  if (!slow_path.empty()) {
-    query::SlowQueryLogOptions slow_options;
-    slow_options.threshold_ns =
-        static_cast<std::uint64_t>(std::max<std::int64_t>(
-            args.GetInt("slow-query-threshold-us"), 0)) *
-        1000;
-    slow_options.sample_every = static_cast<std::uint64_t>(
-        std::max<std::int64_t>(args.GetInt("slow-query-sample"), 0));
-    slow_log = std::make_unique<query::SlowQueryLog>(slow_path, slow_options);
-    options.slow_log = slow_log.get();
-  }
 
   std::optional<obs::ServeSloGauges> slo_gauges;
   if (obs::MetricsEnabled()) {
@@ -585,9 +528,6 @@ int main(int argc, char** argv) {
       .Flag("profile-hz", "97", "profiler samples per CPU-second")
       .Flag("stats-port", "-1",
             "serve /metrics + /healthz on 127.0.0.1:N (0 = ephemeral)")
-      .Flag("slow-query-log", "", "slow-query JSONL (query-bench)")
-      .Flag("slow-query-threshold-us", "1000", "slow-query latency threshold")
-      .Flag("slow-query-sample", "0", "also record every Nth query (0 = off)")
       .Flag("port", "0", "serve: bind port (0 = ephemeral); serve-bench: "
             "daemon port")
       .Flag("port-file", "", "serve: write the bound port here (scripts)")
@@ -618,8 +558,7 @@ int main(int argc, char** argv) {
   const std::string telemetry_path = args.GetString("telemetry-jsonl");
   const std::int64_t stats_port = args.GetInt("stats-port");
   const bool telemetry_on = !telemetry_path.empty() || stats_port >= 0;
-  obs::SetMetricsEnabled(!metrics_path.empty() || telemetry_on ||
-                         !args.GetString("slow-query-log").empty());
+  obs::SetMetricsEnabled(!metrics_path.empty() || telemetry_on);
   obs::SetTracingEnabled(!trace_path.empty());
 
   const std::string profile_path = args.GetString("profile");
