@@ -48,8 +48,8 @@ Checkpointer::Checkpointer(CheckpointOptions options,
 
 Checkpointer::~Checkpointer() {
   {
-    // A build that throws never reaches Finish: release a signal path
-    // that waits for it (it holds g_active_mutex until it returns).
+    // Releases a signal path that waits for the driver (it holds
+    // g_active_mutex until it returns), however the build ended.
     util::MutexLock lock(mutex_);
     drain_ = Drain::kFinished;
     changed_.NotifyAll();
@@ -94,18 +94,6 @@ void Checkpointer::OnRootFinished(graph::VertexId frontier,
   Write(std::move(due));
 }
 
-void Checkpointer::Snapshot() {
-  pll::BuildManifest due;
-  {
-    util::MutexLock lock(mutex_);
-    while (writing_) {
-      changed_.Wait(mutex_);
-    }
-    due = BeginWriteLocked();
-  }
-  Write(std::move(due));
-}
-
 void Checkpointer::BeginDrain() {
   util::MutexLock lock(mutex_);
   while (writing_) {
@@ -117,12 +105,18 @@ void Checkpointer::BeginDrain() {
 bool Checkpointer::HaltRequested() const { return halt_.load(); }
 
 void Checkpointer::Finish(bool complete) {
-  if (!complete || HaltRequested()) {
-    Snapshot();  // final flush at the halt frontier
+  if (complete && !HaltRequested()) {
+    return;
   }
-  util::MutexLock lock(mutex_);
-  drain_ = Drain::kFinished;
-  changed_.NotifyAll();
+  pll::BuildManifest due;
+  {
+    util::MutexLock lock(mutex_);
+    while (writing_) {
+      changed_.Wait(mutex_);
+    }
+    due = BeginWriteLocked();  // final flush at the halt frontier
+  }
+  Write(std::move(due));
 }
 
 void Checkpointer::SnapshotOrHalt() {
@@ -139,7 +133,7 @@ void Checkpointer::SnapshotOrHalt() {
       }
     }
     if (drain_ == Drain::kFinished) {
-      return;  // the driver wrote its final snapshot; rows may be moved out
+      return;  // the driver wrote its final snapshot; rows may be gone
     }
     // No root loop appends to the rows, and BeginDrain waits for this
     // write to end.

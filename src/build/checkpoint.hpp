@@ -38,7 +38,7 @@ namespace parapll::build {
 struct CheckpointOptions {
   std::string dir;  // snapshots land in dir + "/checkpoint.bin"
   // Snapshot every `every` finished roots. 0 = never periodically; the
-  // checkpointer then only writes on Snapshot() (final flush / signal).
+  // checkpointer then only writes in Finish() or on the signal path.
   graph::VertexId every = 0;
 };
 
@@ -70,15 +70,12 @@ class Checkpointer {
   void OnRootFinished(graph::VertexId frontier, const pll::PruneStats& stats,
                       double wall_seconds);
 
-  // Writes a snapshot of the latest recorded frontier now, after any
-  // write in flight. Thread-safe.
-  void Snapshot();
-
-  // Root-loop driver hooks. Between BeginDrain and Finish, workers append
-  // to the rows, so SnapshotActiveBuilds must not read them: it sets
+  // Root-loop driver hooks. From BeginDrain on, workers append to the
+  // rows, so SnapshotActiveBuilds must not read them: it sets
   // HaltRequested, which the loop polls before every claim, and waits for
-  // Finish. The driver calls Finish after the workers join; it writes the
-  // final snapshot when the drain stopped early or a halt was requested.
+  // the checkpointer's destruction. The driver calls Finish after the
+  // workers join; it writes the final snapshot of the latest recorded
+  // frontier when the drain stopped early or a halt was requested.
   void BeginDrain();
   [[nodiscard]] bool HaltRequested() const;
   void Finish(bool complete);
@@ -126,8 +123,10 @@ class Checkpointer {
 // The signal path. A build whose root loop runs is halted and its
 // driver's final snapshot awaited; one whose loop has not started is
 // snapshotted directly; one whose loop has finished keeps what its driver
-// wrote. Wired into the CLI's signal-flush hook so ^C on a long build
-// leaves a resumable checkpoint behind.
+// wrote. A halted build::Run returns incomplete, as under --halt-after.
+// Wired into the CLI's signal-flush hook, which then ends the process
+// without writing --out, so ^C on a long build leaves a resumable
+// checkpoint behind and no partial index.
 void SnapshotActiveBuilds();
 
 }  // namespace parapll::build

@@ -97,6 +97,42 @@ grep -q 'out of range' "$WORK/bad.log"
 "$CLI" verify --index "$WORK/resumed.index" --graph "$WORK/g.txt" \
   --pairs 400
 
+# ^C on a checkpointing build: once its first snapshot is on disk, SIGINT
+# must halt it at a checkpoint, flush the metrics and profile once, exit
+# 130 and never publish the partial index to --out. The checkpoint then
+# resumes to a complete index. (A background job of a non-interactive
+# shell starts with SIGINT ignored; the CLI installs its own handler.)
+"$CLI" generate --dataset HI-USA --scale 0.15 --seed 7 --out "$WORK/road.txt"
+"$CLI" build --graph "$WORK/road.txt" --mode serial \
+  --checkpoint-dir "$WORK/sigckpt" --checkpoint-every 200 \
+  --metrics-json "$WORK/sig_metrics.json" --profile "$WORK/sig.collapsed" \
+  --out "$WORK/sig.index" > "$WORK/sig.out" 2> "$WORK/sig.err" &
+pid=$!
+waited=0
+while [ ! -e "$WORK/sigckpt/checkpoint.bin" ]; do
+  waited=$((waited + 1))
+  [ "$waited" -lt 3000 ]  # give up after ~30 s without a first snapshot
+  sleep 0.01
+done
+kill -INT "$pid"
+status=0
+wait "$pid" || status=$?
+[ "$status" -eq 130 ]
+[ ! -e "$WORK/sig.index" ]
+[ ! -e "$WORK/sig.index.tmp" ]
+[ ! -s "$WORK/sig.out" ]
+[ "$(grep -c '^metrics snapshot -> ' "$WORK/sig.err")" -eq 1 ]
+[ "$(grep -c '^profile (' "$WORK/sig.err")" -eq 1 ]
+grep -q '"build.checkpoint.snapshots":' "$WORK/sig_metrics.json"
+[ -e "$WORK/sig.collapsed" ]
+"$CLI" stats --index "$WORK/sigckpt/checkpoint.bin" \
+  | grep -q '"complete":false'
+"$CLI" build --graph "$WORK/road.txt" --mode parallel --threads 4 \
+  --resume "$WORK/sigckpt" --out "$WORK/sig_resumed.index"
+"$CLI" stats --index "$WORK/sig_resumed.index" | grep -q '"complete":true'
+"$CLI" verify --index "$WORK/sig_resumed.index" --graph "$WORK/road.txt" \
+  --pairs 400
+
 # Telemetry: a fast-sampling build must leave >= 2 JSONL samples carrying
 # process stats and the registry (the periodic loop plus the final one).
 # Larger graph so the build outlasts a few 1ms sampling periods.

@@ -12,6 +12,7 @@
 //
 // Exit code 0 on success; 1 on usage errors or failed verification.
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -53,6 +54,24 @@ void PublishHealthInfo(const pll::BuildManifest& manifest,
 
 void PublishHealthInfo(const pll::Index& index) {
   PublishHealthInfo(index.Manifest(), index.NumVertices());
+}
+
+// The process ends once: main returns its command's code, or the signal
+// watcher exits with 128+signo after its flush. The path that claims the
+// exit second parks for good, so the flush never runs twice and main
+// never tears down what the watcher still reads.
+std::atomic<bool> g_exit_claimed{false};
+
+[[noreturn]] void Park() {
+  for (;;) {
+    std::this_thread::sleep_for(std::chrono::hours(1));
+  }
+}
+
+void ClaimExit() {
+  if (g_exit_claimed.exchange(true)) {
+    Park();
+  }
 }
 
 int Usage() {
@@ -168,6 +187,12 @@ int CmdBuild(util::ArgParser& args) {
 
   const graph::Graph g = graph::ReadEdgeListTextFile(args.GetString("graph"));
   const build::BuildOutcome outcome = build::Run(g, plan);
+  if (g_exit_claimed.load()) {
+    // A signal halted the build at its checkpoint and the watcher exits
+    // the process: a partial index must never reach --out, which a
+    // `serve --watch` daemon may be watching.
+    Park();
+  }
   const pll::Index& index = outcome.artifact.index;
   PublishHealthInfo(index);
   const std::string out = args.GetString("out");
@@ -658,6 +683,7 @@ int main(int argc, char** argv) {
   // frontier (resumable with --resume) and still writes metrics/telemetry
   // before exiting.
   obs::ScopedSignalFlush signal_flush([&flush_obs] {
+    ClaimExit();  // first: a build this halts must park, not write --out
     try {
       build::SnapshotActiveBuilds();
     } catch (const std::exception& e) {
@@ -684,14 +710,17 @@ int main(int argc, char** argv) {
     } else if (command == "serve-bench") {
       code = CmdServeBench(args);
     } else {
+      ClaimExit();
       return Usage();
     }
+    ClaimExit();
     if (!flush_obs()) {
       return 1;
     }
     return code;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
+    ClaimExit();
     flush_obs();
     return 1;
   }
